@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -307,6 +308,27 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoteam",
@@ -335,10 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an independent-adversary game")
     p.add_argument("--game", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=positive_float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--trace", default=None)
+    p.add_argument("--trace", default=None, help="pivot log, CSV rows pivot,z0,path")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution artifact")
@@ -347,14 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", default=None)
     p.add_argument("--instance", default=None)
     p.add_argument("--point", default=None)
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=nonnegative_float, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force grid searches")
     p.add_argument("--task", required=True, choices=["min-regret", "kkt-grid", "minimax"])
     p.add_argument("--game", default=None)
     p.add_argument("--instance", default=None)
-    p.add_argument("--grid", type=int, default=20)
+    p.add_argument("--grid", type=positive_int, default=20)
     p.add_argument("--epsilon", type=float, default=0.01)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_oracle)

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import twoteam
 from twoteam import cli
 from twoteam.game_core import game_from_dict, validate_two_team
 from twoteam.instances import instance_from_dict
@@ -163,10 +165,53 @@ def test_trace_file_rows(tmp_path):
         float(res)
 
 
+def test_trace_paths_end_with_z0_zero(tmp_path):
+    g = tmp_path / "g.json"
+    trace = tmp_path / "trace.csv"
+    run("gen", "--kind", "two-team", "--nx", "2", "--ny", "2", "--m", "3",
+        "--independent", "--seed", "4", "--out", str(g))
+    assert run("solve", "--game", str(g), "--epsilon", "1e-6", "--trace", str(trace)) == 0
+    rows = [line.split(",") for line in trace.read_text().strip().splitlines()]
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    last = {}
+    for pivot, z0, path in rows:
+        last[int(path)] = float(z0)
+    assert sorted(last) == list(range(12))
+    assert all(z0 == 0.0 for z0 in last.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--game", "{g}", "--epsilon", "0"),
+    ("solve", "--game", "{g}", "--epsilon", "-1"),
+    ("solve", "--game", "{g}", "--epsilon", "nan"),
+    ("solve", "--game", "{g}", "--epsilon", "inf"),
+    ("verify", "--kind", "nash", "--game", "{g}", "--profile", "{p}", "--epsilon", "-1"),
+    ("verify", "--kind", "nash", "--game", "{g}", "--profile", "{p}", "--epsilon", "nan"),
+    ("oracle", "--task", "minimax", "--game", "{g}", "--grid", "0"),
+    ("oracle", "--task", "minimax", "--game", "{g}", "--grid", "-2"),
+], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
+def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
+    g = tmp_path / "g.json"
+    p = tmp_path / "p.json"
+    run("gen", "--kind", "two-team", "--nx", "1", "--ny", "1", "--m", "2",
+        "--independent", "--seed", "0", "--out", str(g))
+    p.write_text(json.dumps({"strategies": [[0.5, 0.5], [0.5, 0.5]]}))
+    capsys.readouterr()
+    assert run(*(a.format(g=g, p=p) for a in argv)) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be" in err
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
+    # The child imports twoteam from where this process found it, so the
+    # test also runs from a checkout that was never installed.
+    package_root = os.path.dirname(os.path.dirname(twoteam.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "twoteam", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout

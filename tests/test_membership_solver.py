@@ -12,6 +12,7 @@ from twoteam.instances import (
     MinmaxIndInstance,
     QuadraticInstance,
     verify_general_kkt,
+    verify_min_kkt,
     verify_minmax_kkt,
 )
 from twoteam.membership_solver import (
@@ -26,7 +27,7 @@ from twoteam.membership_solver import (
     stationarity_residual,
 )
 from twoteam.oracle import grid_min_regret_profile
-from twoteam.reductions import pullback_stage2, reduce_stage2
+from twoteam.reductions import pullback_full, pullback_stage2, reduce_full, reduce_stage2
 
 
 def matching_pennies():
@@ -48,6 +49,26 @@ def random_independent_game(rng, n_x, n_y, m):
             mat = rng.uniform(-1, 1, (m, m))
             g.add_edge(i, j, mat, -mat.T)
     return g, TwoTeamStructure(tuple(xs), tuple(ys), independent_adversaries=True)
+
+
+def degenerate_independent_game(rng):
+    """Integer payoffs in {-1, 0, 1} (many ties), absent edges, unequal and
+    single-action players, and duplicated actions (equal rows/columns)."""
+    n_x, n_y = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    players = n_x + n_y
+    base = [int(rng.integers(1, 4)) for _ in range(players)]
+    actions = [np.concatenate([np.arange(b), rng.integers(0, b, int(rng.integers(0, 2)))])
+               for b in base]
+    g = PolymatrixGame([len(a) for a in actions])
+    for a in range(players):
+        for b in range(a + 1, players):
+            if a >= n_x or rng.random() < 0.25:
+                continue
+            mat = rng.integers(-1, 2, (base[a], base[b])).astype(float)
+            mat = mat[np.ix_(actions[a], actions[b])]
+            g.add_edge(a, b, mat, mat.T if b < n_x else -mat.T)
+    return g, TwoTeamStructure(tuple(range(n_x)), tuple(range(n_x, players)),
+                               independent_adversaries=True)
 
 
 def test_project_simplex():
@@ -321,3 +342,52 @@ def test_stationarity_residual_zero_only_near_kkt():
     assert r_far > 0.1
     r_near, _ = stationarity_residual(prog, [np.array([0.5, 0.5])])
     assert r_near <= 1e-12
+
+
+def test_solve_rejects_non_finite_epsilon():
+    g, s = matching_pennies()
+    for epsilon in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            solve(g, s, epsilon=epsilon)
+
+
+def test_find_kkt_point_counts_pivots_and_traces_them():
+    rng = np.random.default_rng(8)
+    g, s = random_independent_game(rng, 2, 2, 3)
+    prog = build_dual_program(g, s)
+    trace = []
+    res = find_kkt_point(prog, seed=3, num_starts=4, trace=trace)
+    assert res.converged
+    assert [row[0] for row in trace] == list(range(res.iterations))
+    assert sorted({row[2] for row in trace}) == [0, 1, 2, 3]
+    assert res.objective == prog.objective(res.x)
+    with pytest.raises(SolverError, match="complementary paths"):
+        find_kkt_point(prog, max_iter=1)
+
+
+def test_degenerate_games_solve_exactly():
+    # Lemke's lexicographic ratio test must end every path at an exact
+    # equilibrium even when payoffs tie everywhere.
+    rng = np.random.default_rng(400)
+    for trial in range(400):
+        g, s = degenerate_independent_game(rng)
+        profile, report = solve(g, s, epsilon=1e-9, seed=trial)
+        assert report.passed, (trial, report.max_regret)
+        prog = build_dual_program(g, s)
+        res = find_kkt_point(prog, seed=trial)
+        cert = extract_multipliers(prog, res.x, res.gamma,
+                                   band=min(1e-7, 10.0 * res.residual + 1e-12))
+        assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-7, trial
+
+
+def test_reduced_two_variable_qps_pull_back_at_delta():
+    rng = np.random.default_rng(9)
+    for trial in range(10):
+        cross = rng.uniform(-1, 1, (2, 2))
+        np.fill_diagonal(cross, 0.0)
+        q = QuadraticInstance(n=2, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, 2),
+                              cross=cross, square=rng.uniform(-1, 1, 2), epsilon=1.0 / 13.0)
+        game, structure, params = reduce_full(q)
+        profile, report = solve(game, structure, epsilon=params.delta, seed=trial)
+        assert report.passed, (trial, report.max_regret, params.delta)
+        assert verify_min_kkt(q, pullback_full(profile, params), q.epsilon).passed, trial

@@ -338,12 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate random instances and games")
     p.add_argument("--kind", required=True, choices=["quadratic", "minmax", "two-team"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--nx", type=int, default=None)
-    p.add_argument("--ny", type=int, default=None)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--n", type=positive_int, default=2)
+    p.add_argument("--nx", type=positive_int, default=None)
+    p.add_argument("--ny", type=positive_int, default=None)
+    p.add_argument("--m", type=positive_int, default=2)
     p.add_argument("--independent", action="store_true")
-    p.add_argument("--epsilon", type=float, default=1.0 / 13.0)
+    p.add_argument("--epsilon", type=positive_float, default=1.0 / 13.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
@@ -377,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", default=None)
     p.add_argument("--instance", default=None)
     p.add_argument("--grid", type=positive_int, default=20)
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--epsilon", type=nonnegative_float, default=0.01)
+    p.add_argument("--budget", type=positive_int, default=None)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -132,6 +132,7 @@ class KKTSearchResult:
     converged: bool
     iterations: int
     objective: float
+    certificate: MultiplierCertificate
 
 
 def _pad_matrix(mat: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -212,87 +213,86 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _active_sets(prog: DualMinProgram, x: list, band: float):
-    c = prog.adversary_payoffs(x)
-    gam = c.max(axis=1) if len(prog.ys) else np.zeros(0)
-    acts = [np.nonzero(gam[j] - c[j] <= band)[0] for j in range(len(prog.ys))]
-    zeros = [np.nonzero(x[a] <= band)[0] for a in range(len(prog.xs))]
-    return zeros, acts
+def _multiplier_system(prog: DualMinProgram, x: list, band: float):
+    """The linear system the multipliers (mu, lambda, nu) must satisfy at x.
 
-
-def stationarity_residual(prog: DualMinProgram, x: list, band: float = ACTIVITY_THRESHOLD):
-    """Def 4.2-style residual against the current active set, via a small LP.
-
-    Minimizes the sup-norm of the stationarity vector over admissible
-    multipliers (mu supported on near-tight adversary constraints, nu on
-    near-zero coordinates, lambda free).  Returns (residual, (mu, lam, nu))
-    or (inf, None) when the LP solver stalls.
+    mu is supported on the adversary constraints within ``band`` of tight,
+    nu on the coordinates within ``band`` of zero, and lambda is free.
+    Returns (stat, b, eq, bounds, unpack): row a*m + k of ``stat`` times
+    the multipliers plus b[a*m + k] is coordinate (a, k)'s stationarity, each
+    row of ``eq`` sums one adversary's mu (to 1), ``bounds`` are the
+    variables' LP bounds, and ``unpack`` maps a solution vector to
+    (mu, lam, nu) arrays.
     """
     nx, ny, m = len(prog.xs), len(prog.ys), prog.m
-    zeros, acts = _active_sets(prog, x, band)
-    b = prog.linear_part(x)
+    c = prog.adversary_payoffs(x)
+    gam = c.max(axis=1) if ny else np.zeros(0)
+    acts = [np.nonzero(gam[j] - c[j] <= band)[0] for j in range(ny)]
+    zeros = [np.nonzero(x[a] <= band)[0] for a in range(nx)]
 
     mu_slots = [(j, int(k)) for j in range(ny) for k in acts[j]]
     nu_slots = [(a, int(k)) for a in range(nx) for k in zeros[a]]
-    n_mu, n_nu = len(mu_slots), len(nu_slots)
-    nvars = 1 + n_mu + nx + n_nu  # t, mu, lambda, nu
-    mu_at = {slot: 1 + s for s, slot in enumerate(mu_slots)}
-    lam_at = lambda a: 1 + n_mu + a
-    nu_at = {slot: 1 + n_mu + nx + s for s, slot in enumerate(nu_slots)}
+    n_mu = len(mu_slots)
+    nvars = n_mu + nx + len(nu_slots)
+    mu_at = {slot: s for s, slot in enumerate(mu_slots)}
+    nu_at = {slot: n_mu + nx + s for s, slot in enumerate(nu_slots)}
 
-    rows, rhs = [], []
+    stat = np.zeros((nx * m, nvars))
     for a in range(nx):
         for k in range(m):
-            coef = np.zeros(nvars)
+            coef = stat[a * m + k]
             for j in range(ny):
                 mat = prog.cross[j][a]
                 if mat is None:
                     continue
                 for kk in acts[j]:
                     coef[mu_at[(j, int(kk))]] += mat[int(kk), k]
-            coef[lam_at(a)] += 1.0
+            coef[n_mu + a] += 1.0
             if (a, k) in nu_at:
                 coef[nu_at[(a, k)]] -= 1.0
-            # b_ak + coef.z in [-t, t]
-            up = coef.copy()
-            up[0] = -1.0
-            rows.append(up)
-            rhs.append(-b[a][k])
-            dn = -coef
-            dn[0] = -1.0
-            rows.append(dn)
-            rhs.append(b[a][k])
-    eq_rows, eq_rhs = [], []
-    for j in range(ny):
-        coef = np.zeros(nvars)
-        for k in acts[j]:
-            coef[mu_at[(j, int(k))]] = 1.0
-        eq_rows.append(coef)
-        eq_rhs.append(1.0)
+    eq = np.zeros((ny, nvars))
+    for (j, k), col in mu_at.items():
+        eq[j, col] = 1.0
+    bounds = [(0.0, None)] * n_mu + [(None, None)] * nx + [(0.0, None)] * len(nu_slots)
 
-    bounds = [(0.0, None)] * (1 + n_mu) + [(None, None)] * nx + [(0.0, None)] * n_nu
-    obj = np.zeros(nvars)
+    def unpack(z: np.ndarray):
+        mu = np.zeros((ny, m))
+        for (j, k), col in mu_at.items():
+            mu[j, k] = max(z[col], 0.0)
+        nu = np.zeros((nx, m))
+        for (a, k), col in nu_at.items():
+            nu[a, k] = max(z[col], 0.0)
+        return mu, np.array(z[n_mu : n_mu + nx]), nu
+
+    return stat, np.concatenate(prog.linear_part(x)), eq, bounds, unpack
+
+
+def stationarity_residual(prog: DualMinProgram, x: list, band: float = ACTIVITY_THRESHOLD):
+    """Def 4.2-style residual against the current active set, via a small LP.
+
+    Minimizes the sup-norm t of the stationarity vector over admissible
+    multipliers (mu supported on near-tight adversary constraints, nu on
+    near-zero coordinates, lambda free).  Returns (residual, (mu, lam, nu))
+    or (inf, None) when the LP solver stalls.
+    """
+    stat, b, eq, bounds, unpack = _multiplier_system(prog, x, band)
+    # b + stat.z in [-t, t], over the variables (t, z).
+    t_col = -np.ones((2 * len(b), 1))
+    rows = np.hstack([t_col, np.stack([stat, -stat], axis=1).reshape(-1, stat.shape[1])])
+    obj = np.zeros(rows.shape[1])
     obj[0] = -1.0
     lp = LinearProgram(
         objective=obj,
-        ineq_matrix=np.array(rows).reshape(-1, nvars) if rows else None,
-        ineq_rhs=np.array(rhs) if rows else None,
-        eq_matrix=np.array(eq_rows).reshape(-1, nvars) if eq_rows else None,
-        eq_rhs=np.array(eq_rhs) if eq_rows else None,
-        bounds=bounds,
+        ineq_matrix=rows,
+        ineq_rhs=np.stack([-b, b], axis=1).reshape(-1),
+        eq_matrix=np.hstack([np.zeros((len(eq), 1)), eq]),
+        eq_rhs=np.ones(len(eq)),
+        bounds=[(0.0, None)] + bounds,
     )
     out = solve_lp(lp)
     if out.status != OPTIMAL:
         return np.inf, None
-    z = out.solution
-    mu = np.zeros((ny, m))
-    for (j, k), col in mu_at.items():
-        mu[j, k] = max(z[col], 0.0)
-    lam = np.array([z[lam_at(a)] for a in range(nx)])
-    nu = np.zeros((nx, m))
-    for (a, k), col in nu_at.items():
-        nu[a, k] = max(z[col], 0.0)
-    return max(float(z[0]), 0.0), (mu, lam, nu)
+    return max(float(out.solution[0]), 0.0), unpack(out.solution[1:])
 
 
 def _game_lcp(game: PolymatrixGame):
@@ -311,7 +311,7 @@ def _game_lcp(game: PolymatrixGame):
 
     so s is a Nash equilibrium.  B > 0 makes M copositive-plus, and the
     LCP is feasible, so Lemke's method ends at a solution.  Returns
-    (M, q, offsets) with player p's actions at offsets[p]:offsets[p+1].
+    (M, q, offsets, c) with player p's actions at offsets[p]:offsets[p+1].
     """
     offsets = np.concatenate([[0], np.cumsum(game.strategy_counts)])
     n, players = int(offsets[-1]), game.num_players
@@ -323,12 +323,13 @@ def _game_lcp(game: PolymatrixGame):
     sums = np.zeros((players, n))
     for p in range(players):
         sums[p, offsets[p] : offsets[p + 1]] = 1.0
+    shift = payoff.max() + 1.0
     M = np.zeros((n + players, n + players))
-    M[:n, :n] = payoff.max() + 1.0 - payoff
+    M[:n, :n] = shift - payoff
     M[:n, n:] = -sums.T
     M[n:, :n] = sums
     q = np.concatenate([np.zeros(n), -np.ones(players)])
-    return M, q, offsets
+    return M, q, offsets, shift
 
 
 def _leaving_row(T: np.ndarray, rhs: np.ndarray, col: np.ndarray, z0_row: int):
@@ -360,8 +361,9 @@ def _lemke_path(M: np.ndarray, q: np.ndarray, cover: np.ndarray, max_pivots: int
     A dense tableau over the columns (w, z, z0) with the right-hand side
     kept apart.  The artificial z0 enters first; after that each pivot
     brings in the complement of the variable that just left, until z0
-    leaves.  Returns (z or None, z0 after each pivot); None means the
-    path ended on a ray or reached ``max_pivots``.
+    leaves.  Returns ((w, z) or None, z0 after each pivot): the basic
+    solution at the end of the path, or None when the path ended on a
+    ray or reached ``max_pivots``.
     """
     size = len(q)
     T = np.hstack([np.eye(size), -M, -cover[:, None]])
@@ -385,14 +387,38 @@ def _lemke_path(M: np.ndarray, q: np.ndarray, cover: np.ndarray, max_pivots: int
         z0_row = np.flatnonzero(basis == artificial)
         z0_values.append(float(rhs[z0_row[0]]) if z0_row.size else 0.0)
         if leaving == artificial:
-            z = np.zeros(artificial + 1)
-            z[basis] = rhs
-            return z[size:artificial], z0_values
+            wz = np.zeros(artificial + 1)
+            wz[basis] = rhs
+            return (wz[:size], wz[size:artificial]), z0_values
         entering = leaving + size if leaving < size else leaving - size
         row = _leaving_row(T, rhs, T[:, entering], int(z0_row[0]))
         if row is None:
             break
     return None, z0_values
+
+
+def _basis_certificate(prog: DualMinProgram, w, z, offsets, shift: float) -> MultiplierCertificate:
+    """(mu, lambda, nu) read off a solution (w, z) of ``_game_lcp``'s LCP.
+
+    Every strategy sums to 1 at a solution, so X player a's block of
+    w = B s - E^T u is shift * P - u_a - (A s)_a (P players), that is
+    b_a + sum_j A^{y_j,x_a}^T mu_j + lambda_a with mu_j adversary j's
+    strategy and lambda_a = shift * P - u_a.  So nu_a is that block:
+    stationarity holds by construction, and complementarity is the LCP's
+    own.  Padded coordinates duplicate the last real action, so their nu
+    copies its slack.
+    """
+    u = z[offsets[-1] :]
+    mu = np.zeros((len(prog.ys), prog.m))
+    for j, p in enumerate(prog.ys):
+        s = np.maximum(z[offsets[p] : offsets[p + 1]], 0.0)
+        mu[j, : len(s)] = s / s.sum()
+    lam = shift * prog.game.num_players - u[list(prog.xs)]
+    nu = np.zeros((len(prog.xs), prog.m))
+    for a, p in enumerate(prog.xs):
+        slack = np.maximum(w[offsets[p] : offsets[p + 1]], 0.0)
+        nu[a] = slack[np.minimum(np.arange(prog.m), len(slack) - 1)]
+    return MultiplierCertificate(mu=mu, lam=lam, nu=nu)
 
 
 def find_kkt_point(
@@ -413,39 +439,43 @@ def find_kkt_point(
     vectors can end at different equilibria; the one with the lowest
     objective wins.  ``max_iter`` caps the pivots of each path, and
     ``iterations`` counts the pivots of all paths.  The winner's
-    ``residual`` is the active-set stationarity residual, and
+    ``certificate`` (mu, lambda, nu) is read off its final basis, its
+    ``residual`` is that certificate's ``certificate_violation``, and
     ``converged`` is ``residual <= tol``.  When ``trace`` is a list it
     receives one (pivot, z0, path) row per pivot.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    M, q, offsets = _game_lcp(prog.game)
+    M, q, offsets, shift = _game_lcp(prog.game)
     rng = np.random.default_rng(seed)
     best, pivots = None, 0
     for path in range(num_starts):
         cover = np.ones(len(q)) if path == 0 else rng.uniform(0.5, 1.5, len(q))
-        z, z0_values = _lemke_path(M, q, cover, max_iter)
+        solution, z0_values = _lemke_path(M, q, cover, max_iter)
         if trace is not None:
             trace.extend((pivots + k, v, path) for k, v in enumerate(z0_values))
         pivots += len(z0_values)
-        if z is None:
+        if solution is None:
             continue
+        z = solution[1]
         x = []
         for p in prog.xs:
             s = np.maximum(z[offsets[p] : offsets[p + 1]], 0.0)
             x.append(np.concatenate([s / s.sum(), np.zeros(prog.m - len(s))]))
         value = prog.objective(x)
         if best is None or value < best[0]:
-            best = (value, x)
+            best = (value, x, solution)
     if best is None:
         raise SolverError(
             f"find_kkt_point: none of {num_starts} complementary paths reached a solution"
         )
-    value, x = best
-    residual, _ = stationarity_residual(prog, x)
+    value, x, (w, z) = best
+    gamma = prog.gamma_of(x)
+    cert = _basis_certificate(prog, w, z, offsets, shift)
+    residual = certificate_violation(prog, x, gamma, cert)
     return KKTSearchResult(
-        x=x, gamma=prog.gamma_of(x), residual=residual, converged=residual <= tol,
-        iterations=pivots, objective=value,
+        x=x, gamma=gamma, residual=residual, converged=residual <= tol,
+        iterations=pivots, objective=value, certificate=cert,
     )
 
 
@@ -461,50 +491,16 @@ def extract_multipliers(
     enforced structurally by restricting the multiplier supports to the
     active sets.  Raises MultiplierExtractionError when the system is
     infeasible, signalling that x is not close enough to a KKT point.
+    It shares no code with the Lemke search, so it cross-checks the
+    certificate ``find_kkt_point`` reads off its basis.
     """
-    nx, ny, m = len(prog.xs), len(prog.ys), prog.m
-    zeros, acts = _active_sets(prog, x, ACTIVITY_THRESHOLD)
-    b = prog.linear_part(x)
-
-    mu_slots = [(j, int(k)) for j in range(ny) for k in acts[j]]
-    nu_slots = [(a, int(k)) for a in range(nx) for k in zeros[a]]
-    nvars = len(mu_slots) + nx + len(nu_slots)
-    mu_at = {slot: s for s, slot in enumerate(mu_slots)}
-    lam_at = lambda a: len(mu_slots) + a
-    nu_at = {slot: len(mu_slots) + nx + s for s, slot in enumerate(nu_slots)}
-
-    rows, rhs = [], []
-    for a in range(nx):
-        for k in range(m):
-            coef = np.zeros(nvars)
-            for j in range(ny):
-                mat = prog.cross[j][a]
-                if mat is None:
-                    continue
-                for kk in acts[j]:
-                    coef[mu_at[(j, int(kk))]] += mat[int(kk), k]
-            coef[lam_at(a)] += 1.0
-            if (a, k) in nu_at:
-                coef[nu_at[(a, k)]] -= 1.0
-            rows.append(coef)
-            rhs.append(band - b[a][k])
-            rows.append(-coef)
-            rhs.append(band + b[a][k])
-    eq_rows, eq_rhs = [], []
-    for j in range(ny):
-        coef = np.zeros(nvars)
-        for k in acts[j]:
-            coef[mu_at[(j, int(k))]] = 1.0
-        eq_rows.append(coef)
-        eq_rhs.append(1.0)
-
-    bounds = [(0.0, None)] * len(mu_slots) + [(None, None)] * nx + [(0.0, None)] * len(nu_slots)
+    stat, b, eq, bounds, unpack = _multiplier_system(prog, x, ACTIVITY_THRESHOLD)
     lp = LinearProgram(
-        objective=np.zeros(nvars),
-        ineq_matrix=np.array(rows).reshape(-1, nvars) if rows else None,
-        ineq_rhs=np.array(rhs) if rows else None,
-        eq_matrix=np.array(eq_rows).reshape(-1, nvars) if eq_rows else None,
-        eq_rhs=np.array(eq_rhs) if eq_rows else None,
+        objective=np.zeros(stat.shape[1]),
+        ineq_matrix=np.stack([stat, -stat], axis=1).reshape(-1, stat.shape[1]),
+        ineq_rhs=np.stack([band - b, band + b], axis=1).reshape(-1),
+        eq_matrix=eq,
+        eq_rhs=np.ones(len(eq)),
         bounds=bounds,
     )
     out = find_feasible(lp)
@@ -513,17 +509,10 @@ def extract_multipliers(
             f"multiplier system infeasible at band {band}: "
             "point is not close enough to a KKT point"
         )
-    z = out.solution
-    mu = np.zeros((ny, m))
-    for (j, k), col in mu_at.items():
-        mu[j, k] = max(z[col], 0.0)
-    for j in range(ny):
+    mu, lam, nu = unpack(out.solution)
+    for j in range(len(prog.ys)):
         if mu[j].sum() > 0:
             mu[j] /= mu[j].sum()
-    lam = np.array([z[lam_at(a)] for a in range(nx)])
-    nu = np.zeros((nx, m))
-    for (a, k), col in nu_at.items():
-        nu[a, k] = max(z[col], 0.0)
     return MultiplierCertificate(mu=mu, lam=lam, nu=nu)
 
 
@@ -586,10 +575,10 @@ def solve(
 ):
     """Full pipeline: dual program, KKT point, multipliers, Nash profile.
 
-    Runs ``find_kkt_point`` (its Lemke paths drawn from ``seed``), reads
-    the adversaries' strategies off the multipliers ``extract_multipliers``
-    finds at that point, and checks the assembled profile with
-    ``verify_epsilon_nash`` at ``epsilon``.  Returns (profile, NashReport);
+    Runs ``find_kkt_point`` (its Lemke paths drawn from ``seed``), lets
+    the adversaries play the mu of the certificate read off its final
+    basis, and checks the assembled profile with ``verify_epsilon_nash``
+    at ``epsilon``.  No LP runs.  Returns (profile, NashReport);
     ``report.passed`` is that check.  ``trace_path`` receives the pivot
     log as CSV rows ``pivot,z0,path``.  Raises ValueError unless epsilon
     is finite and positive, and SolverError when a stage fails.
@@ -603,11 +592,5 @@ def solve(
         with open(trace_path, "w", encoding="utf-8") as fh:
             for pivot, z0, path in trace:
                 fh.write(f"{pivot},{z0:.17g},{path}\n")
-    # Stationarity relaxed by the band lets a team-X regret reach twice the
-    # band, so it follows the point's own residual (near 0 at an exact
-    # equilibrium), not a fixed floor that a tight epsilon would fail.
-    cert = extract_multipliers(
-        prog, result.x, result.gamma, band=min(1e-7, 10.0 * result.residual + 1e-12)
-    )
-    profile = reconstruct_nash(prog, result.x, cert)
+    profile = reconstruct_nash(prog, result.x, result.certificate)
     return profile, verify_epsilon_nash(game, profile, epsilon)

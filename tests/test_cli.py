@@ -189,6 +189,14 @@ def test_trace_paths_end_with_z0_zero(tmp_path):
     ("verify", "--kind", "nash", "--game", "{g}", "--profile", "{p}", "--epsilon", "nan"),
     ("oracle", "--task", "minimax", "--game", "{g}", "--grid", "0"),
     ("oracle", "--task", "minimax", "--game", "{g}", "--grid", "-2"),
+    ("oracle", "--task", "minimax", "--game", "{g}", "--budget", "0"),
+    ("oracle", "--task", "kkt-grid", "--instance", "{g}", "--epsilon", "-1"),
+    ("oracle", "--task", "kkt-grid", "--instance", "{g}", "--epsilon", "nan"),
+    ("gen", "--kind", "quadratic", "--out", "{p}", "--n", "0"),
+    ("gen", "--kind", "minmax", "--out", "{p}", "--nx", "0"),
+    ("gen", "--kind", "minmax", "--out", "{p}", "--ny", "-1"),
+    ("gen", "--kind", "two-team", "--out", "{p}", "--m", "0"),
+    ("gen", "--kind", "quadratic", "--out", "{p}", "--epsilon", "-1"),
 ], ids=lambda argv: " ".join(a for a in argv if "{" not in a))
 def test_out_of_range_arguments_are_usage_errors(tmp_path, capsys, argv):
     g = tmp_path / "g.json"

@@ -15,6 +15,7 @@ from twoteam.instances import (
     verify_min_kkt,
     verify_minmax_kkt,
 )
+from twoteam import lp_solver, membership_solver
 from twoteam.membership_solver import (
     SolverError,
     build_dual_program,
@@ -375,6 +376,11 @@ def test_degenerate_games_solve_exactly():
         assert report.passed, (trial, report.max_regret)
         prog = build_dual_program(g, s)
         res = find_kkt_point(prog, seed=trial)
+        assert certificate_violation(prog, res.x, res.gamma, res.certificate) <= 1e-9, trial
+        basis_profile = reconstruct_nash(prog, res.x, res.certificate)
+        assert all(np.array_equal(a, b) for a, b in zip(profile.strategies,
+                                                        basis_profile.strategies)), trial
+        # The feasibility LP shares no code with the Lemke search.
         cert = extract_multipliers(prog, res.x, res.gamma,
                                    band=min(1e-7, 10.0 * res.residual + 1e-12))
         assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-7, trial
@@ -391,3 +397,25 @@ def test_reduced_two_variable_qps_pull_back_at_delta():
         profile, report = solve(game, structure, epsilon=params.delta, seed=trial)
         assert report.passed, (trial, report.max_regret, params.delta)
         assert verify_min_kkt(q, pullback_full(profile, params), q.epsilon).passed, trial
+        prog = build_dual_program(game, structure)
+        res = find_kkt_point(prog, seed=trial)
+        assert certificate_violation(prog, res.x, res.gamma, res.certificate) <= 1e-9, trial
+        basis_profile = reconstruct_nash(prog, res.x, res.certificate)
+        assert all(np.array_equal(a, b) for a, b in zip(profile.strategies,
+                                                        basis_profile.strategies)), trial
+
+
+def test_solve_runs_no_lp(monkeypatch):
+    # The certificate comes off the final Lemke basis; no LP is solved.
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve ran an LP")
+
+    monkeypatch.setattr(lp_solver, "solve_lp", no_lp)
+    monkeypatch.setattr(membership_solver, "solve_lp", no_lp)
+    monkeypatch.setattr(membership_solver, "find_feasible", no_lp)
+    g, s = matching_pennies()
+    assert solve(g, s, epsilon=1e-9)[1].passed
+    rng = np.random.default_rng(401)
+    for trial in range(20):
+        g, s = degenerate_independent_game(rng)
+        assert solve(g, s, epsilon=1e-9, seed=trial)[1].passed, trial

@@ -5,6 +5,13 @@ finite differences, and LP vertex enumeration.  These routines recompute
 everything from raw payoff matrices and coefficient tables so they share no
 algorithmic path with the solvers they are used to check.  Budget guards
 are hard errors: a truncated oracle is worse than none.
+
+Every lattice scan walks its lattice with ``_prefix_tiles``: only the
+digits of the axes before the last (the prefix) are decoded, and the last
+axis is a broadcast block, so per-prefix terms are computed once per
+prefix and combined with precomputed last-axis rows.  No scan calls the
+point-wise verifiers; small KKT lattices take the same vectorized path as
+large ones.
 """
 
 from __future__ import annotations
@@ -16,12 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game_core import PolymatrixGame, StrategyProfile, TwoTeamStructure, validate_two_team
-from .instances import BoxPoint, MinmaxIndInstance, MinmaxPoint, QuadraticInstance
-from .instances import verify_min_kkt, verify_minmax_kkt
+from .instances import BoxPoint, MinmaxIndInstance, QuadraticInstance
+# Unused here, but kept as module attributes: the benchmark's traced run
+# wraps them under these names.
+from .instances import verify_min_kkt, verify_minmax_kkt  # noqa: F401
 from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 DEFAULT_BUDGET = 10_000_000
-_CHUNK = 1 << 20
+# Points per scan tile.  A tile's arrays of 2^16 doubles (512 KiB) are
+# reused across the per-player passes; on a 2-vCPU host, tiles of 2^20
+# ran the benchmark's oracle-scan mix about 25% slower.
+_CHUNK = 1 << 16
 
 
 class GridBudgetError(RuntimeError):
@@ -40,7 +52,6 @@ class GridSpec:
     """Uniform grid of step 1/k, stored by its exact denominator."""
 
     k: int
-    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if int(self.k) < 1:
@@ -88,63 +99,80 @@ def _decode_digits(ids: np.ndarray, sizes) -> np.ndarray:
     return digits
 
 
-def iter_profile_regrets(game: PolymatrixGame, grid, budget=None, chunk=_CHUNK):
+def _prefix_tiles(sizes):
+    """Walk the lattice ``range(sizes[0]) x ... x range(sizes[-1])`` in tiles.
+
+    Yields ``(prefix, lo, hi)``: the decoded digits of a run of consecutive
+    prefixes (every axis but the last; shape (T, len(sizes) - 1)) and a
+    block ``[lo, hi)`` of the last axis.  The tile's points are every prefix
+    row against every block index, prefix-major, so concatenating the tiles
+    gives lexicographic order.  A tile holds at most ``_CHUNK`` points (read
+    at call time); when the last axis alone is longer, each tile is one
+    prefix row against a block of it.
+    """
+    chunk = _CHUNK
+    prefix_sizes, last = list(sizes[:-1]), sizes[-1]
+    prefix_total = math.prod(prefix_sizes)
+    block = min(last, chunk)
+    tile = max(1, chunk // block)
+    for start in range(0, prefix_total, tile):
+        ids = np.arange(start, min(start + tile, prefix_total), dtype=np.int64)
+        prefix = _decode_digits(ids, prefix_sizes)
+        for lo in range(0, last, block):
+            yield prefix, lo, min(lo + block, last)
+
+
+def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
     """Yield (digits, max_regret) chunks over every grid profile.
 
     ``digits[:, i]`` indexes player i's simplex grid; regret math is done
     from the payoff matrices directly.  Iteration order is lexicographic in
-    the digit tuples.
+    the digit tuples, and a chunk is one ``_prefix_tiles`` tile.
+
+    Per tile, player i's payoff vector is ``pre + tail``: ``pre`` sums its
+    rows from the prefix players, ``tail`` is its row from the last player's
+    block (none for the last player itself).  The best reply is a running
+    maximum over actions and the achieved payoff is ``x . pre + x . tail``,
+    so no (points x actions) array is built.
     """
     k = _grid_k(grid)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
-    grids = [simplex_grid(m, k) for m in game.strategy_counts]
+    counts = game.strategy_counts
+    grids = [simplex_grid(m, k) for m in counts]
     sizes = [len(g) for g in grids]
     total = math.prod(sizes)
     if total > budget:
         raise GridBudgetError(required=total, budget=budget)
 
-    neighbors = {i: game.neighbors(i) for i in range(game.num_players)}
-    n_players = game.num_players
-    two_action = all(c == 2 for c in game.strategy_counts)
-    if two_action:
-        # First-action probabilities are just digits / k; payoff vectors are
-        # affine in them, so the whole chunk reduces to two matmuls per
-        # player instead of per-edge gathers.
-        slope = np.zeros((n_players, n_players, 2))
-        const = np.zeros((n_players, 2))
-        for i in range(n_players):
-            for j in neighbors[i]:
-                A = game.payoff(i, j)
-                slope[i, j] = A[:, 0] - A[:, 1]
-                const[i] += A[:, 1]
-    else:
-        # W[i][j][d] = payoff contribution to player i when j plays grid row d.
-        W = {
-            i: {j: grids[j] @ game.payoff(i, j).T for j in neighbors[i]}
-            for i in range(n_players)
-        }
+    last = game.num_players - 1
+    # W[i][j][d] = payoff contribution to player i when j plays grid row d;
+    # the last player's rows are stored action-major.
+    W = {i: {j: grids[j] @ game.payoff(i, j).T for j in game.neighbors(i) if j != last}
+         for i in range(last + 1)}
+    tails = [np.ascontiguousarray((grids[last] @ game.payoff(i, last).T).T) for i in range(last)]
 
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = _decode_digits(ids, sizes)
-        max_regret = np.zeros(len(ids))
-        if two_action:
-            P = digits.astype(float) / k
-            for i in range(n_players):
-                V = const[i] + P @ slope[i]
-                best = V.max(axis=1)
-                ach = P[:, i] * V[:, 0] + (1.0 - P[:, i]) * V[:, 1]
-                np.maximum(max_regret, best - ach, out=max_regret)
-        else:
-            for i in range(n_players):
-                if neighbors[i]:
-                    V = sum(W[i][j][digits[:, j]] for j in neighbors[i])
-                else:
-                    V = np.zeros((len(ids), game.strategy_counts[i]))
-                best = V.max(axis=1)
-                ach = np.einsum("ck,ck->c", grids[i][digits[:, i]], V)
-                np.maximum(max_regret, best - ach, out=max_regret)
-        yield digits, max_regret
+    for prefix, lo, hi in _prefix_tiles(sizes):
+        G = grids[last][lo:hi]
+        max_regret = np.zeros((len(prefix), hi - lo))
+        for i in range(last + 1):
+            pre = sum((W[i][j][prefix[:, j]] for j in W[i]), np.zeros((len(prefix), counts[i])))
+            if i == last:
+                regret = pre.max(axis=1)[:, None] - pre @ G.T
+            else:
+                x, tail = grids[i][prefix[:, i]], tails[i][:, lo:hi]
+                regret = pre[:, :1] + tail[0]
+                term = np.empty_like(regret)
+                for a in range(1, counts[i]):
+                    np.add(pre[:, a, None], tail[a], out=term)
+                    np.maximum(regret, term, out=regret)
+                achieved = x @ tail
+                achieved += np.einsum("ck,ck->c", x, pre)[:, None]
+                regret -= achieved
+            np.maximum(max_regret, regret, out=max_regret)
+        digits = np.empty((len(prefix), hi - lo, last + 1), dtype=np.int64)
+        digits[:, :, :last] = prefix[:, None, :]
+        digits[:, :, last] = np.arange(lo, hi)
+        yield digits.reshape(-1, last + 1), max_regret.ravel()
 
 
 def grid_profile(game: PolymatrixGame, grid, digits) -> StrategyProfile:
@@ -168,14 +196,19 @@ def grid_min_regret_profile(game: PolymatrixGame, grid, budget=None):
 
 def grid_nash_profiles(game: PolymatrixGame, grid, delta: float, budget=None, max_found=500_000):
     """All grid profiles with max regret <= delta, in enumeration order."""
-    found = []
+    found, count = [], 0
     for digits, regrets in iter_profile_regrets(game, grid, budget=budget):
-        hits = np.nonzero(regrets <= delta)[0]
-        for h in hits:
-            found.append(digits[h].copy())
-            if len(found) > max_found:
-                raise GridBudgetError(required=len(found), budget=max_found)
-    return [grid_profile(game, grid, d) for d in found]
+        hits = digits[regrets <= delta]
+        count += len(hits)
+        if count > max_found:
+            raise GridBudgetError(required=count, budget=max_found)
+        found.append(hits)
+    k = _grid_k(grid)
+    grids = [simplex_grid(m, k) for m in game.strategy_counts]
+    return [
+        StrategyProfile([g[d] for g, d in zip(grids, row)])
+        for row in itertools.chain.from_iterable(found)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -189,66 +222,47 @@ def _box_total(dims: int, k: int) -> int:
 def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     """All box-lattice points passing the matching KKT verifier at epsilon.
 
-    Small lattices are fed through the verifier point by point; larger ones
-    go through an equivalent vectorized path (same case split on exact
-    boundary membership, because lattice endpoints are exact).
+    Every lattice, small or large, goes through one vectorized path with the
+    verifier's case split on exact boundary membership (lattice endpoints
+    are exact).  The gradient is affine, ``g = c + p @ S``; for a minmax
+    instance the y rows are the negated max-side gradient, which turns the
+    max-side conditions into min-side ones.  Per ``_prefix_tiles`` tile,
+    coordinate i's gradient is ``c_i + prefix @ S[:-1, i]`` plus the last
+    coordinate's term broadcast over the block.
     """
     k = _grid_k(grid)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     if isinstance(instance, QuadraticInstance):
         dims = instance.n
+        c = instance.linear
+        S = instance.cross + instance.cross.T + np.diag(2.0 * instance.square)
     elif isinstance(instance, MinmaxIndInstance):
         dims = instance.n_x + instance.n_y
+        c = np.concatenate([instance.beta, -instance.zeta])
+        S = np.block([
+            [instance.gamma + instance.gamma.T, -instance.theta],
+            [instance.theta.T, np.zeros((instance.n_y, instance.n_y))],
+        ])
     else:
         raise TypeError(f"unsupported instance type {type(instance)!r}")
     total = _box_total(dims, k)
     if total > budget:
         raise GridBudgetError(required=total, budget=budget)
 
-    if total <= 20_000:
-        points = []
-        for combo in itertools.product(range(k + 1), repeat=dims):
-            p = np.array(combo, dtype=float) / k
-            if isinstance(instance, QuadraticInstance):
-                ok = verify_min_kkt(instance, BoxPoint(p), epsilon).passed
-            else:
-                ok = verify_minmax_kkt(
-                    instance,
-                    MinmaxPoint(BoxPoint(p[: instance.n_x]), BoxPoint(p[instance.n_x :])),
-                    epsilon,
-                ).passed
-            if ok:
-                points.append(p)
-        return np.array(points).reshape(-1, dims)
-
     vals = np.arange(k + 1, dtype=float) / k
-    sizes = [k + 1] * dims
+    last = dims - 1
     hits = []
-    for start in range(0, total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = _decode_digits(ids, sizes)
-        pts = vals[digits]
-        if isinstance(instance, QuadraticInstance):
-            g = (
-                instance.linear
-                + pts @ (instance.cross + instance.cross.T)
-                + 2.0 * pts * instance.square
-            )
-            viol = np.where(
-                digits == 0, -g - epsilon, np.where(digits == k, g - epsilon, np.abs(g) - epsilon)
-            )
-        else:
-            nx = instance.n_x
-            X, Y = pts[:, :nx], pts[:, nx:]
-            dx, dy = digits[:, :nx], digits[:, nx:]
-            g = instance.beta + X @ (instance.gamma + instance.gamma.T) + Y @ instance.theta.T
-            q = instance.zeta + X @ instance.theta
-            vx = np.where(dx == 0, -g - epsilon, np.where(dx == k, g - epsilon, np.abs(g) - epsilon))
-            vy = np.where(dy == 0, q - epsilon, np.where(dy == k, -q - epsilon, np.abs(q) - epsilon))
-            viol = np.hstack([vx, vy])
-        mask = viol.max(axis=1) <= 0.0
-        if mask.any():
-            hits.append(pts[mask])
+    for prefix, lo, hi in _prefix_tiles([k + 1] * dims):
+        pts = vals[prefix]
+        tail, tail_digits = vals[lo:hi], np.arange(lo, hi)
+        mask = np.ones((len(prefix), hi - lo), dtype=bool)
+        for i in range(dims):
+            g = (c[i] + pts @ S[:last, i])[:, None] + tail * S[last, i]
+            d = prefix[:, i, None] if i < last else tail_digits
+            mask &= np.where(d == 0, -g - epsilon, np.where(d == k, g - epsilon, np.abs(g) - epsilon)) <= 0.0
+        rows, cols = np.nonzero(mask)
+        if len(rows):
+            hits.append(np.column_stack([pts[rows], tail[cols]]))
     if not hits:
         return np.empty((0, dims))
     return np.vstack(hits)
@@ -502,9 +516,8 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     last player, and each adversary's payoff row ``A_j``.  A tile of
     prefixes against a block ``G`` of the last player's grid then has values
     ``base + coef @ G.T + sum_j max_k (A_j[:, None, k] + B_j[None, :, k])``,
-    where ``B_j`` holds adversary j's rows from the last player.  Tiles hold
-    at most ``_CHUNK`` points; the last axis is split into blocks when its
-    grid alone is larger.
+    where ``B_j`` holds adversary j's rows from the last player; the tiles
+    come from ``_prefix_tiles``.
     """
     report = validate_two_team(game, structure)
     if not report.passed or not structure.independent_adversaries:
@@ -520,46 +533,33 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
         raise GridBudgetError(required=total, budget=budget)
 
     last = len(xs) - 1
-    prefix_sizes = sizes[:last]
-    prefix_total = math.prod(prefix_sizes)
     # Adversary j's payoff row contributions per x-player grid row, zero
     # where an edge is absent; the last player's are stored action-major.
     W = {j: [grids[t] @ game.payoff(j, xs[t]).T for t in range(last)] for j in ys}
     B = {j: np.ascontiguousarray((grids[last] @ game.payoff(j, xs[last]).T).T) for j in ys}
-    pairs = [
-        (a, b)
-        for a in range(len(xs))
-        for b in range(a + 1, len(xs))
-        if game.has_edge(xs[a], xs[b])
-    ]
+    pairs = [(a, b) for a in range(len(xs)) for b in range(a + 1, len(xs))
+             if game.has_edge(xs[a], xs[b])]
     P = {(a, b): grids[a] @ game.payoff(xs[a], xs[b]) for (a, b) in pairs}
 
-    block = min(sizes[last], _CHUNK)
-    tile = max(1, _CHUNK // block)
     best = np.inf
-    for start in range(0, prefix_total, tile):
-        ids = np.arange(start, min(start + tile, prefix_total), dtype=np.int64)
-        digits = _decode_digits(ids, prefix_sizes)
-        base = np.zeros(len(ids))
-        coef = np.zeros((len(ids), game.strategy_counts[xs[last]]))
+    for digits, lo, hi in _prefix_tiles(sizes):
+        base = np.zeros(len(digits))
+        coef = np.zeros((len(digits), game.strategy_counts[xs[last]]))
         for (a, b) in pairs:
             if b == last:
                 coef -= P[(a, b)][digits[:, a]]
             else:
                 base -= np.einsum("ck,ck->c", P[(a, b)][digits[:, a]], grids[b][digits[:, b]])
-        A = {
-            j: sum((W[j][t][digits[:, t]] for t in range(last)), np.zeros((len(ids), game.strategy_counts[j])))
-            for j in ys
-        }
-        for lo in range(0, sizes[last], block):
-            value = base[:, None] + coef @ grids[last][lo:lo + block].T
-            term = np.empty_like(value)
-            for j in ys:
-                rows, cols = A[j].T, B[j][:, lo:lo + block]
-                best_j = rows[0][:, None] + cols[0]
-                for a_k, b_k in zip(rows[1:], cols[1:]):
-                    np.add(a_k[:, None], b_k, out=term)
-                    np.maximum(best_j, term, out=best_j)
-                value += best_j
-            best = min(best, float(value.min()))
+        value = base[:, None] + coef @ grids[last][lo:hi].T
+        term = np.empty_like(value)
+        for j in ys:
+            A = sum((W[j][t][digits[:, t]] for t in range(last)),
+                    np.zeros((len(digits), game.strategy_counts[j])))
+            rows, cols = A.T, B[j][:, lo:hi]
+            best_j = rows[0][:, None] + cols[0]
+            for a_k, b_k in zip(rows[1:], cols[1:]):
+                np.add(a_k[:, None], b_k, out=term)
+                np.maximum(best_j, term, out=best_j)
+            value += best_j
+        best = min(best, float(value.min()))
     return best

@@ -13,7 +13,15 @@ from twoteam.game_core import (
     common_utility,
     verify_epsilon_nash,
 )
-from twoteam.instances import BoxPoint, MinmaxIndInstance, QuadraticInstance, eval_quadratic
+from twoteam.instances import (
+    BoxPoint,
+    MinmaxIndInstance,
+    MinmaxPoint,
+    QuadraticInstance,
+    eval_quadratic,
+    verify_min_kkt,
+    verify_minmax_kkt,
+)
 from twoteam.lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 from twoteam.oracle import (
     GridBudgetError,
@@ -24,6 +32,7 @@ from twoteam.oracle import (
     grid_min_regret_profile,
     grid_minimax_value,
     grid_nash_profiles,
+    grid_profile,
     iter_profile_regrets,
     simplex_grid,
     simplex_grid_size,
@@ -79,21 +88,49 @@ def test_budget_guard_is_hard_error():
     assert err.value.required == simplex_grid_size(3, 100) ** 4
 
 
-def test_scan_regrets_agree_with_best_response_path():
-    # The vectorized regret math must match the definitional regret from
-    # verify_epsilon_nash on every profile of a coarse grid.
-    rng = np.random.default_rng(0)
-    g = PolymatrixGame([2, 3])
-    mat = rng.uniform(-1, 1, (2, 3))
-    g.add_edge(0, 1, mat, -mat.T)
-    collected = []
-    for digits, regs in iter_profile_regrets(g, 5):
-        grids = [simplex_grid(2, 5), simplex_grid(3, 5)]
-        for row, r in zip(digits, regs):
-            prof = StrategyProfile([grids[0][row[0]], grids[1][row[1]]])
-            want = verify_epsilon_nash(g, prof, 0.0).max_regret
-            collected.append(abs(r - want))
-    assert max(collected) <= 1e-12
+def regret_game(counts, edges, rng, integer=False):
+    g = PolymatrixGame(counts)
+    for a, b in edges:
+        shape = (counts[a], counts[b])
+        if integer:
+            g.add_edge(a, b, rng.integers(-1, 2, shape), rng.integers(-1, 2, shape[::-1]))
+        else:
+            g.add_edge(a, b, rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape[::-1]))
+    return g
+
+
+REGRET_CASES = {
+    # (strategy counts, edges, integer payoffs, grid)
+    "two-player": ([2, 3], [(0, 1)], False, 5),
+    "single-player": ([3], [], False, 4),
+    "no-edges": ([2, 3, 2], [], False, 3),
+    "single-action": ([1, 3, 1], [(0, 1), (1, 2), (0, 2)], False, 4),
+    "last-without-edges": ([2, 3, 3], [(0, 1)], False, 3),
+    "unequal-actions": ([3, 1, 2, 4], [(0, 1), (0, 3), (1, 2), (2, 3)], False, 2),
+    "integer-ties": ([2, 2, 2], [(0, 1), (1, 2), (0, 2)], True, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGRET_CASES))
+def test_scan_regrets_agree_with_best_response_path(case, monkeypatch):
+    # The broadcast regret math must match the definitional regret from
+    # verify_epsilon_nash on every profile, in lexicographic order, whatever
+    # the tiling.
+    counts, edges, integer, k = REGRET_CASES[case]
+    g = regret_game(counts, edges, np.random.default_rng(sorted(REGRET_CASES).index(case)), integer)
+    grids = [simplex_grid(m, k) for m in counts]
+    want_digits = list(itertools.product(*(range(len(grid)) for grid in grids)))
+    want = [verify_epsilon_nash(g, StrategyProfile([grid[d] for grid, d in zip(grids, row)]), 0.0).max_regret
+            for row in want_digits]
+    for chunk in (oracle._CHUNK, 3, 7):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        digits, regrets = [], []
+        for d, r in iter_profile_regrets(g, k):
+            assert len(d) == len(r) <= chunk
+            digits.extend(map(tuple, d.tolist()))
+            regrets.extend(r)
+        assert digits == want_digits
+        assert np.abs(np.array(regrets) - want).max() <= 1e-12
 
 
 def test_grid_nash_profiles_bilinear_stage2():
@@ -107,6 +144,20 @@ def test_grid_nash_profiles_bilinear_stage2():
         p, q = prof[0][0], prof[1][0]
         assert p * q <= params.delta_out + 1e-12
         assert p * (1 - q) <= params.delta_out + 1e-12
+
+
+def test_grid_nash_profiles_match_per_hit_construction():
+    g = regret_game([2, 3, 2], [(0, 1), (1, 2), (0, 2)], np.random.default_rng(4), integer=True)
+    delta = 0.25
+    want = [grid_profile(g, 6, d)
+            for digits, regrets in iter_profile_regrets(g, 6)
+            for d in digits[regrets <= delta]]
+    got = grid_nash_profiles(g, 6, delta)
+    assert 0 < len(got) == len(want)
+    for a, b in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(a.strategies, b.strategies))
+    with pytest.raises(GridBudgetError):
+        grid_nash_profiles(g, 6, delta, max_found=len(want) - 1)
 
 
 def test_grid_kkt_points_quadratic_examples():
@@ -130,29 +181,58 @@ def test_grid_kkt_points_bilinear_hand_set():
     assert got == expected
 
 
-def test_grid_kkt_vectorized_path_matches_definitional():
-    rng = np.random.default_rng(1)
-    cross = np.zeros((2, 2))
-    cross[0, 1], cross[1, 0] = rng.uniform(-1, 1, 2)
-    q = QuadraticInstance(n=2, constant=0.1, linear=rng.uniform(-1, 1, 2),
-                          cross=cross, square=rng.uniform(-1, 1, 2), epsilon=0.05)
-    small = grid_kkt_points(q, 40, 0.08)              # 41^2 <= definitional path
-    big = grid_kkt_points(q, 40, 0.08, budget=10**7)
-    assert np.array_equal(small, big)
-    # Force the vectorized path by exceeding the definitional threshold.
-    m = MinmaxIndInstance(n_x=2, n_y=2, alpha=0, beta=rng.uniform(-1, 1, 2),
-                          gamma=cross, zeta=rng.uniform(-1, 1, 2),
-                          theta=rng.uniform(-1, 1, (2, 2)), epsilon=0.05)
-    pts_vec = grid_kkt_points(m, 15, 0.3)             # 16^4 = 65536 > 20000
-    from twoteam.instances import MinmaxPoint, verify_minmax_kkt
-    import itertools
-    expect = []
-    for combo in itertools.product(range(16), repeat=4):
-        p = np.array(combo) / 15
-        point = MinmaxPoint(BoxPoint(p[:2]), BoxPoint(p[2:]))
-        if verify_minmax_kkt(m, point, 0.3).passed:
-            expect.append(tuple(p))
-    assert sorted(map(tuple, pts_vec)) == sorted(expect)
+def random_cross(rng, n):
+    cross = rng.uniform(-1, 1, (n, n))
+    np.fill_diagonal(cross, 0.0)
+    return cross
+
+
+def definitional_kkt_points(instance, k, epsilon):
+    """Lattice points passing the point-wise verifier, in lexicographic order."""
+    if isinstance(instance, QuadraticInstance):
+        dims = instance.n
+        passes = lambda p: verify_min_kkt(instance, BoxPoint(p), epsilon).passed
+    else:
+        dims = instance.n_x + instance.n_y
+        passes = lambda p: verify_minmax_kkt(
+            instance, MinmaxPoint(BoxPoint(p[: instance.n_x]), BoxPoint(p[instance.n_x :])), epsilon
+        ).passed
+    pts = [np.array(c) / k for c in itertools.product(range(k + 1), repeat=dims)]
+    return np.array([p for p in pts if passes(p)]).reshape(-1, dims)
+
+
+KKT_CASES = {
+    # (kind, shape, grid, epsilon); dims = 1 leaves the tile prefix empty.
+    "quadratic-1": ("quadratic", 1, 200, 0.05),
+    "quadratic-2": ("quadratic", 2, 40, 0.2),
+    "quadratic-3": ("quadratic", 3, 12, 0.4),
+    "minmax-1x1": ("minmax", (1, 1), 40, 0.1),
+    "minmax-2x1": ("minmax", (2, 1), 16, 0.3),
+    "minmax-2x2": ("minmax", (2, 2), 9, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KKT_CASES))
+def test_grid_kkt_points_match_definitional_verifier(case, monkeypatch):
+    kind, shape, k, eps = KKT_CASES[case]
+    rng = np.random.default_rng(sorted(KKT_CASES).index(case))
+    if kind == "quadratic":
+        inst = QuadraticInstance(n=shape, constant=0.1, linear=rng.uniform(-1, 1, shape),
+                                 cross=random_cross(rng, shape), square=rng.uniform(-1, 1, shape),
+                                 epsilon=eps)
+    else:
+        n_x, n_y = shape
+        inst = MinmaxIndInstance(n_x=n_x, n_y=n_y, alpha=0, beta=rng.uniform(-1, 1, n_x),
+                                 gamma=random_cross(rng, n_x), zeta=rng.uniform(-1, 1, n_y),
+                                 theta=rng.uniform(-1, 1, (n_x, n_y)), epsilon=eps)
+    want = definitional_kkt_points(inst, k, eps)
+    assert 0 < len(want) < (k + 1) ** want.shape[1]
+    # The default chunk holds the whole lattice; a chunk of 5 splits the
+    # last axis into blocks, one of 50 does so only where the last axis is
+    # longer and otherwise splits the prefixes into tiles.
+    for chunk in (oracle._CHUNK, 5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert np.array_equal(grid_kkt_points(inst, k, eps), want)
 
 
 def test_stage1_scan_agrees_with_direct_enumeration():

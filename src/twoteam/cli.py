@@ -207,6 +207,9 @@ def cmd_solve(args) -> int:
         profile, report = membership_solver.solve(
             game, structure, epsilon=args.epsilon, seed=args.seed, trace_path=args.trace
         )
+    except membership_solver.NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOCONV
     except membership_solver.SolverError as exc:
         raise UsageError(str(exc)) from exc
     if args.out:

@@ -47,6 +47,10 @@ class SolverError(RuntimeError):
     """A pipeline stage failed; the message carries stage attribution."""
 
 
+class NonConvergenceError(SolverError):
+    """No complementary path reached a solution within its pivot cap."""
+
+
 class MultiplierExtractionError(SolverError):
     """The multiplier system is infeasible: the point is not close enough
     to a KKT point at the requested band."""
@@ -71,7 +75,6 @@ class DualMinProgram:
     m: int
     coord: dict
     cross: list
-    bound_M: float
     orig_counts: dict
 
     # -- objective machinery -------------------------------------------------
@@ -179,17 +182,6 @@ def build_dual_program(game: PolymatrixGame, structure: TwoTeamStructure) -> Dua
         for j in range(len(ys))
     ]
 
-    # Cap that can never be tight: one above the best any adversary row can
-    # collect even with every X player conspiring.
-    maxval = 0.0
-    for j in range(len(ys)):
-        for k in range(m):
-            row_total = sum(
-                float(cross[j][i][k, :].max()) for i in range(len(xs)) if cross[j][i] is not None
-            )
-            maxval = max(maxval, row_total)
-    bound_M = maxval + 1.0
-
     return DualMinProgram(
         game=game,
         structure=structure,
@@ -198,7 +190,6 @@ def build_dual_program(game: PolymatrixGame, structure: TwoTeamStructure) -> Dua
         m=m,
         coord=coord,
         cross=cross,
-        bound_M=bound_M,
         orig_counts={p: game.strategy_counts[p] for p in xs + ys},
     )
 
@@ -442,7 +433,8 @@ def find_kkt_point(
     ``certificate`` (mu, lambda, nu) is read off its final basis, its
     ``residual`` is that certificate's ``certificate_violation``, and
     ``converged`` is ``residual <= tol``.  When ``trace`` is a list it
-    receives one (pivot, z0, path) row per pivot.
+    receives one (pivot, z0, path) row per pivot.  Raises
+    NonConvergenceError when no path ends within ``max_iter`` pivots.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -466,7 +458,7 @@ def find_kkt_point(
         if best is None or value < best[0]:
             best = (value, x, solution)
     if best is None:
-        raise SolverError(
+        raise NonConvergenceError(
             f"find_kkt_point: none of {num_starts} complementary paths reached a solution"
         )
     value, x, (w, z) = best
@@ -581,7 +573,8 @@ def solve(
     at ``epsilon``.  No LP runs.  Returns (profile, NashReport);
     ``report.passed`` is that check.  ``trace_path`` receives the pivot
     log as CSV rows ``pivot,z0,path``.  Raises ValueError unless epsilon
-    is finite and positive, and SolverError when a stage fails.
+    is finite and positive, and SolverError when a stage fails
+    (NonConvergenceError when no Lemke path ends).
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError("epsilon must be finite and positive")

@@ -6,12 +6,13 @@ everything from raw payoff matrices and coefficient tables so they share no
 algorithmic path with the solvers they are used to check.  Budget guards
 are hard errors: a truncated oracle is worse than none.
 
-Every lattice scan walks its lattice with ``_prefix_tiles``: only the
-digits of the axes before the last (the prefix) are decoded, and the last
-axis is a broadcast block, so per-prefix terms are computed once per
-prefix and combined with precomputed last-axis rows.  No scan calls the
-point-wise verifiers; small KKT lattices take the same vectorized path as
-large ones.
+The regret, KKT-lattice and minimax scans walk their lattices with
+``_prefix_tiles``: only the digits of the axes before the last (the
+prefix) are decoded, and the last axis is a broadcast block, so
+per-prefix terms are computed once per prefix and combined with
+precomputed last-axis rows.  The stage-1 scan instead counts KKT cells in
+one small table per index.  No scan calls the point-wise verifiers; small
+KKT lattices take the same vectorized path as large ones.
 """
 
 from __future__ import annotations
@@ -278,6 +279,16 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     that pattern the KKT conditions factor per index i, so the full
     (3n)-dimensional lattice is covered without materializing it.
 
+    Index i's table ``C[s, x]`` counts the (x'_i, y_i) lattice cells that
+    complete x_i = x to a KKT cell of the index, where s is the other
+    index's x value (one row when n = 1).  Each variable's condition
+    depends only on whether its digit is 0, k or interior.  So per y_i
+    digit, with ``P[x, x']`` the 0/1 matrix of pairs passing the y_i and
+    x'_i conditions and ``N[s, x']`` that of pairs passing x_i's condition
+    in one case, the case's x rows gain ``N @ P[rows].T``.  The KKT cells
+    of the whole lattice over an x block number ``C0[0]`` when n = 1 and
+    ``C0.T * C1`` when n = 2.
+
     Returns (projected, total): distinct x-block grid points admitting at
     least one full KKT extension (lexicographic order), and the total count
     of full KKT lattice points.
@@ -302,76 +313,37 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     k = _grid_k(grid)
     eps = float(epsilon)
     v = np.arange(k + 1, dtype=float) / k
-    xdig = np.arange(k + 1)
+    # A min variable's condition at digit 0, interior or k is row 0, 1 or 2
+    # of passes(g); case[d] is digit d's row and rows[c] the digits of case c.
+    case = np.r_[0, np.ones(k - 1, dtype=int), 2]
+    rows = [slice(0, 1), slice(1, k), slice(k, k + 1)]
 
-    exists_tables = []
-    count_tables = []
+    def passes(g):
+        return np.stack([g >= -eps, np.abs(g) <= eps, g <= eps])
+
+    tables = []
     for i in range(n):
-        t1 = theta[i, i]
-        t2 = theta[n + i, i]
-        di = gamma[i, n + i]
-        if n == 1:
-            s_vals = np.array([beta[i]])
-        else:
-            j = 1 - i
-            c_pair = gamma[i, j] + gamma[j, i]
-            s_vals = beta[i] + c_pair * v
-
-        # Gradient wrt y_i depends only on (x_i, x'_i).
-        gy = zeta[i] + t1 * v[:, None] + t2 * v[None, :]
-        ymask_low = gy <= eps
-        ymask_high = gy >= -eps
-        ymask_int = ymask_low & ymask_high
-
-        E = np.zeros((len(s_vals), k + 1), dtype=bool)
-        C = np.zeros((len(s_vals), k + 1), dtype=np.int64)
-        for ydig in range(k + 1):
-            yv = v[ydig]
-            if ydig == 0:
-                ymask = ymask_low
-            elif ydig == k:
-                ymask = ymask_high
-            else:
-                ymask = ymask_int
-            # Gradient wrt x'_i depends on (x_i, y_i); case split on x'_i.
-            gxp = beta[n + i] + di * v + t2 * yv
-            m0 = gxp >= -eps
-            m1 = gxp <= eps
-            mi = m0 & m1
-            M_xp = np.where(
-                xdig[None, :] == 0,
-                m0[:, None],
-                np.where(xdig[None, :] == k, m1[:, None], mi[:, None]),
-            )
-            # Gradient wrt x_i depends on (s, x'_i, y_i); case split on x_i.
-            gx = s_vals[:, None] + di * v[None, :] + t1 * yv
-            n0 = gx >= -eps
-            n1 = gx <= eps
-            ni = n0 & n1
-            M_x = np.where(
-                xdig[None, :, None] == 0,
-                n0[:, None, :],
-                np.where(xdig[None, :, None] == k, n1[:, None, :], ni[:, None, :]),
-            )
-            combined = ymask[None, :, :] & M_xp[None, :, :] & M_x
-            E |= combined.any(axis=2)
-            C += combined.sum(axis=2)
-        exists_tables.append(E)
-        count_tables.append(C)
-
-    if n == 1:
-        exists = exists_tables[0][0]
-        counts = count_tables[0][0]
-        projected = v[exists].reshape(-1, 1)
-        total = int(counts[exists].sum())
-        return projected, total
-
-    exists = exists_tables[0].T & exists_tables[1]
-    counts = count_tables[0].T * count_tables[1]
-    rows, cols = np.nonzero(exists)
-    projected = np.column_stack([v[rows], v[cols]])
-    total = int(counts[exists].sum())
-    return projected, total
+        t1, t2, di = theta[i, i], theta[n + i, i], gamma[i, n + i]
+        # x_i's gradient starts at s: beta_i plus, when n = 2, the coupling
+        # term of the other index's x value.
+        s = np.array([beta[i]]) if n == 1 else beta[i] + (gamma[i, 1 - i] + gamma[1 - i, i]) * v
+        # y_i is a max variable, so its conditions are those of -gradient,
+        # which depends only on (x_i, x'_i).
+        y_ok = passes(-(zeta[i] + t1 * v[:, None] + t2 * v[None, :]))
+        C = np.zeros((len(s), k + 1))
+        for ydig, yv in enumerate(v):
+            # P[x, x']: y_i and x'_i pass; x'_i's gradient depends on x_i.
+            P = y_ok[case[ydig]] & passes(beta[n + i] + di * v + t2 * yv)[case].T
+            # x_i's gradient depends on (s, x'_i): one product per x_i case.
+            x_ok = passes(s[:, None] + di * v[None, :] + t1 * yv).astype(float)
+            for c, r in enumerate(rows):
+                C[:, r] += x_ok[c] @ P[r].T
+        tables.append(C)
+    # The counts are float sums of 0/1 entries far below 2^53, so exact.
+    table = tables[0][0] if n == 1 else tables[0].T * tables[1]
+    hits = np.nonzero(table)
+    projected = np.column_stack([v[h] for h in hits])
+    return projected, int(table[hits].sum())
 
 
 # ---------------------------------------------------------------------------

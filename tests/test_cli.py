@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import twoteam
-from twoteam import cli
+from twoteam import cli, membership_solver
 from twoteam.game_core import game_from_dict, validate_two_team
 from twoteam.instances import instance_from_dict
 
@@ -98,6 +98,21 @@ def test_solve_rejects_non_independent(tmp_path):
     run("gen", "--kind", "two-team", "--nx", "1", "--ny", "2", "--m", "2",
         "--seed", "2", "--out", str(g))  # no --independent flag
     assert run("solve", "--game", str(g), "--epsilon", "1e-4") == cli.EXIT_USAGE
+
+
+def test_solve_non_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "g.json"
+    run("gen", "--kind", "two-team", "--nx", "2", "--ny", "2", "--m", "2",
+        "--independent", "--seed", "5", "--out", str(g))
+    # One pivot per path: no complementary path can end.
+    find = membership_solver.find_kkt_point
+    monkeypatch.setattr(membership_solver, "find_kkt_point",
+                        lambda prog, **kw: find(prog, max_iter=1, **kw))
+    capsys.readouterr()
+    assert run("solve", "--game", str(g), "--epsilon", "1e-5") == cli.EXIT_NOCONV
+    err = capsys.readouterr().err
+    assert "find_kkt_point" in err
+    assert "Traceback" not in err
 
 
 def test_verify_min_kkt_through_files(tmp_path):

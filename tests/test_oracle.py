@@ -236,26 +236,36 @@ def test_grid_kkt_points_match_definitional_verifier(case, monkeypatch):
 
 
 def test_stage1_scan_agrees_with_direct_enumeration():
+    def scan_total_matching_direct(m, k, eps):
+        direct = grid_kkt_points(m, k, eps, budget=10**7)
+        proj, total = stage1_kkt_grid_scan(m, k, eps)
+        assert total == len(direct)
+        n = m.n_y
+        assert sorted(set(tuple(p[:n]) for p in direct)) == sorted(map(tuple, proj))
+        return total
+
     rng = np.random.default_rng(2)
     # n = 1: full 3-D lattice is enumerable directly.
     q = QuadraticInstance(n=1, constant=0.2, linear=[-0.3], cross=[[0]],
                           square=[0.9], epsilon=1.0 / 13.0)
     m, _ = reduce_stage1(q)
     for k, eps in [(50, m.epsilon), (50, 0.5), (24, 0.2)]:
-        direct = grid_kkt_points(m, k, eps, budget=10**7)
-        proj, total = stage1_kkt_grid_scan(m, k, eps)
-        assert total == len(direct)
-        assert sorted(set(tuple(p[:1]) for p in direct)) == sorted(map(tuple, proj))
+        scan_total_matching_direct(m, k, eps)
     # n = 2 at a coarse grid: 9^6 lattice points.
     cross = np.zeros((2, 2))
     cross[0, 1], cross[1, 0] = rng.uniform(-1, 1, 2)
     q2 = QuadraticInstance(n=2, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, 2),
                            cross=cross, square=rng.uniform(-1, 1, 2), epsilon=1.0 / 13.0)
     m2, _ = reduce_stage1(q2)
-    direct = grid_kkt_points(m2, 8, 0.3, budget=10**6)
-    proj, total = stage1_kkt_grid_scan(m2, 8, 0.3)
-    assert total == len(direct)
-    assert sorted(set(tuple(p[:2]) for p in direct)) == sorted(map(tuple, proj))
+    scan_total_matching_direct(m2, 8, 0.3)
+    # Reduced random QPs at 0.75 T/k, where the lattice holds KKT points
+    # (at the stage's own epsilon random draws have almost none).
+    for n, k in [(1, 40), (2, 10), (2, 12)]:
+        q = QuadraticInstance(n=n, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, n),
+                              cross=random_cross(rng, n), square=rng.uniform(-1, 1, n),
+                              epsilon=1.0 / 13.0)
+        m, params = reduce_stage1(q)
+        assert scan_total_matching_direct(m, k, 0.75 * params.T / k) > 0
 
 
 def test_stage1_scan_rejects_foreign_shapes():

@@ -10,6 +10,7 @@ Nash pipeline), verify (Nash / min-KKT / minmax-KKT checkers), and oracle
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,9 +31,12 @@ class UsageError(ValueError):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _read_json(path: str) -> dict:
@@ -212,6 +216,8 @@ def cmd_solve(args) -> int:
         return EXIT_NOCONV
     except membership_solver.SolverError as exc:
         raise UsageError(str(exc)) from exc
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.trace}: {exc}") from exc
     if args.out:
         _write_json(args.out, game_core.profile_to_dict(profile))
     for i, r in enumerate(report.regrets):
@@ -245,27 +251,22 @@ def cmd_verify(args) -> int:
     if not args.instance or not args.point:
         raise UsageError("verify kkt needs --instance and --point")
     inst = _load_instance(args.instance)
+    if args.kind == "min-kkt" and not isinstance(inst, instances.QuadraticInstance):
+        raise UsageError("min-kkt expects a quadratic instance")
+    if args.kind == "minmax-kkt" and not isinstance(inst, instances.MinmaxIndInstance):
+        raise UsageError("minmax-kkt expects a minmax instance")
     data = _read_json(args.point)
     try:
+        if not isinstance(data, dict) or "x" not in data:
+            raise ValueError('expected a JSON object with an "x" entry')
+        x = instances.BoxPoint(data["x"])
         if args.kind == "min-kkt":
-            if not isinstance(inst, instances.QuadraticInstance):
-                raise UsageError("min-kkt expects a quadratic instance")
-            report = instances.verify_min_kkt(
-                inst, instances.BoxPoint(data["x"]), args.epsilon
-            )
-        elif args.kind == "minmax-kkt":
-            if not isinstance(inst, instances.MinmaxIndInstance):
-                raise UsageError("minmax-kkt expects a minmax instance")
-            point = instances.MinmaxPoint(
-                instances.BoxPoint(data["x"]), instances.BoxPoint(data.get("y", []))
-            )
-            report = instances.verify_minmax_kkt(inst, point, args.epsilon)
+            report = instances.verify_min_kkt(inst, x, args.epsilon)
         else:
-            raise UsageError(f"unknown verify kind {args.kind!r}")
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(f"bad point file: {exc}") from exc
+            point = instances.MinmaxPoint(x, instances.BoxPoint(data.get("y", [])))
+            report = instances.verify_minmax_kkt(inst, point, args.epsilon)
+    except ValueError as exc:
+        raise UsageError(f"bad point file: {args.point}: {exc}") from exc
     for idx, (res, tag) in enumerate(zip(report.residuals, report.classification)):
         print(f"coordinate {idx} [{tag}]: violation {res:+.6e}")
     print(f"max violation {report.max_violation:+.6e}")
@@ -332,7 +333,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="twoteam",
         description="Two-team zero-sum polymatrix game toolkit",

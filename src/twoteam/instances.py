@@ -119,7 +119,10 @@ class BoxPoint:
     """
 
     def __init__(self, values):
-        v = np.asarray(values, dtype=float)
+        try:
+            v = np.asarray(values, dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"box point must be numeric: {exc}") from exc
         if v.ndim != 1:
             raise ValueError("box point must be a vector")
         if not np.isfinite(v).all():

@@ -41,6 +41,9 @@ ACTIVITY_THRESHOLD = 1e-7
 # the column's largest entry, and ratios within TIE_TOL (relative) tie.
 PIVOT_TOL = 1e-11
 TIE_TOL = 1e-12
+# Entries of the stacked tableau that one broadcast rank-one update covers;
+# larger stacks update in blocks of paths, which keeps the temporary in cache.
+_UPDATE_BLOCK = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -323,69 +326,103 @@ def _game_lcp(game: PolymatrixGame):
     return M, q, offsets, shift
 
 
-def _leaving_row(T: np.ndarray, rhs: np.ndarray, col: np.ndarray, z0_row: int):
-    """Lexicographic ratio test; None when the column bounds no row (a ray).
+def _break_tie(T: np.ndarray, rows: np.ndarray, col: np.ndarray) -> int:
+    """The lexicographic rule among ``rows``, tied on the least rhs / col.
 
-    Ties in rhs / col are broken by the rows of the basis inverse, which
-    sits in the tableau's first len(rhs) columns; those rows are linearly
-    independent, so the leaving row is unique and no basis repeats.  An
-    artificial variable tied for leaving leaves, which ends the path.
+    ``T`` is one path's tableau, with the basis inverse in its first
+    len(col) columns.  The tied rows are compared on those columns'
+    ratios in turn until one row is least alone; the rows of the basis
+    inverse are linearly independent, so the leaving row is unique and
+    no basis repeats.
     """
-    rows = np.flatnonzero(col > PIVOT_TOL * max(1.0, float(np.abs(col).max())))
-    if not rows.size:
-        return None
-    for k in range(-1, len(rhs)):
-        key = rhs[rows] if k < 0 else T[rows, k]
-        ratio = key / col[rows]
+    for k in range(len(col)):
+        ratio = T[rows, k] / col[rows]
         least = ratio.min()
         rows = rows[ratio <= least + TIE_TOL * max(1.0, abs(least))]
-        if k < 0 and z0_row in rows:
-            return z0_row
         if rows.size == 1:
             break
     return int(rows[0])
 
 
-def _lemke_path(M: np.ndarray, q: np.ndarray, cover: np.ndarray, max_pivots: int):
-    """One path of Lemke's method on LCP(q, M) with covering vector ``cover``.
+def _lemke_paths(M: np.ndarray, q: np.ndarray, covers: np.ndarray, max_pivots: int):
+    """Lemke's method on LCP(q, M), one path per row of ``covers``, in lockstep.
 
-    A dense tableau over the columns (w, z, z0) with the right-hand side
-    kept apart.  The artificial z0 enters first; after that each pivot
-    brings in the complement of the variable that just left, until z0
-    leaves.  Returns ((w, z) or None, z0 after each pivot): the basic
-    solution at the end of the path, or None when the path ended on a
-    ray or reached ``max_pivots``.
+    The paths share one stacked dense tableau of shape (paths, size,
+    2 * size + 2) over the columns (w, z, z0, rhs).  The artificial z0
+    enters first; after that each pivot brings in the complement of the
+    variable that just left, until z0 leaves.  Every live path pivots
+    once per step, by broadcast arithmetic that is elementwise that of a
+    lone path, so a path's pivots do not depend on the batch it runs in.
+    The ratio test runs on all paths at once: a row is a candidate when
+    its column entry is positive (above PIVOT_TOL times the column's
+    largest), and the candidates within TIE_TOL of the least rhs / col
+    tie.  z0 leaves whenever it ties, which ends the path; other ties go
+    to ``_break_tie``.  A path leaves the stack when z0 leaves, on a ray
+    (no candidate row), or after ``max_pivots`` pivots.  Returns, per
+    path, ((w, z) or None, z0 after each pivot): the basic solution at
+    the end of the path, or None when it ended on a ray or reached
+    ``max_pivots``.
     """
-    size = len(q)
-    T = np.hstack([np.eye(size), -M, -cover[:, None]])
-    rhs = q.astype(float)
-    basis = np.arange(size)
+    paths, size = covers.shape
     artificial = 2 * size
+    T = np.empty((paths, size, artificial + 2))
+    T[:, :, :size] = np.eye(size)
+    T[:, :, size:artificial] = -M
+    T[:, :, artificial] = -covers
+    T[:, :, -1] = q
+    block = max(1, _UPDATE_BLOCK // (size * (artificial + 2)))
+    update = np.empty((min(block, paths),) + T.shape[1:])
+    basis = np.tile(np.arange(size), (paths, 1))
     # z0 enters at the least q_i / cover_i; of equal rows the last leaves,
     # which keeps every row of (rhs, basis inverse) lexicographically positive.
-    ratio = q / cover
-    row = int(np.flatnonzero(ratio == ratio.min())[-1])
-    entering = artificial
-    z0_values = []
-    while len(z0_values) < max_pivots:
-        col = T[:, entering].copy()
-        T[row] /= col[row]
-        rhs[row] /= col[row]
-        col[row] = 0.0
-        T -= np.outer(col, T[row])
-        rhs -= col * rhs[row]
-        leaving, basis[row] = basis[row], entering
-        z0_row = np.flatnonzero(basis == artificial)
-        z0_values.append(float(rhs[z0_row[0]]) if z0_row.size else 0.0)
-        if leaving == artificial:
+    ratio = q / covers
+    last_least = (ratio == ratio.min(axis=1, keepdims=True))[:, ::-1]
+    rows = size - 1 - np.argmax(last_least, axis=1)
+    # z0 stays basic in the row it entered until it leaves.
+    z0_rows = rows.copy()
+    entering = np.full(paths, artificial)
+    col = T[:, :, artificial].copy()
+    live = np.arange(paths)
+    solutions = [None] * paths
+    z0_values = [[] for _ in range(paths)]
+    pivots = 0
+    while live.size and pivots < max_pivots:
+        at = np.arange(live.size)
+        pivot_rows = T[at, rows] / col[at, rows][:, None]
+        T[at, rows] = pivot_rows
+        col[at, rows] = 0.0
+        for lo in range(0, live.size, block):
+            hi = min(lo + block, live.size)
+            np.multiply(col[lo:hi, :, None], pivot_rows[lo:hi, None, :], out=update[: hi - lo])
+            T[lo:hi] -= update[: hi - lo]
+        leaving = basis[at, rows]
+        basis[at, rows] = entering
+        pivots += 1
+        ended = leaving == artificial
+        z0 = np.where(ended, 0.0, T[at, z0_rows, -1])
+        for path, value in zip(live.tolist(), z0.tolist()):
+            z0_values[path].append(value)
+        for i in np.flatnonzero(ended):
             wz = np.zeros(artificial + 1)
-            wz[basis] = rhs
-            return (wz[:size], wz[size:artificial]), z0_values
-        entering = leaving + size if leaving < size else leaving - size
-        row = _leaving_row(T, rhs, T[:, entering], int(z0_row[0]))
-        if row is None:
-            break
-    return None, z0_values
+            wz[basis[i]] = T[i, :, -1]
+            solutions[live[i]] = (wz[:size], wz[size:artificial])
+
+        entering = np.where(leaving < size, leaving + size, leaving - size)
+        col = T[at, :, entering]
+        pos = col > PIVOT_TOL * np.maximum(1.0, np.abs(col).max(axis=1))[:, None]
+        ratio = np.divide(T[:, :, -1], col, out=np.full(col.shape, np.inf), where=pos)
+        least = ratio.min(axis=1)
+        tied = ratio <= (least + TIE_TOL * np.maximum(1.0, np.abs(least)))[:, None]
+        ray = ~pos.any(axis=1)
+        z0_tied = tied[at, z0_rows]
+        rows = np.where(z0_tied, z0_rows, np.argmax(tied, axis=1))
+        for i in np.flatnonzero(~(z0_tied | ended | ray) & (tied.sum(axis=1) > 1)):
+            rows[i] = _break_tie(T[i], np.flatnonzero(tied[i]), col[i])
+        keep = ~(ended | ray)
+        if not keep.all():
+            live, T, basis, col = live[keep], T[keep], basis[keep], col[keep]
+            rows, entering, z0_rows = rows[keep], entering[keep], z0_rows[keep]
+    return list(zip(solutions, z0_values))
 
 
 def _basis_certificate(prog: DualMinProgram, w, z, offsets, shift: float) -> MultiplierCertificate:
@@ -426,9 +463,10 @@ def find_kkt_point(
     is a KKT point of the eliminated program, and the equilibria are the
     solutions of the game's LCP (``_game_lcp``).  One complementary path
     runs per covering vector: the first is all ones, the other
-    ``num_starts - 1`` are drawn from ``seed``.  Different covering
-    vectors can end at different equilibria; the one with the lowest
-    objective wins.  ``max_iter`` caps the pivots of each path, and
+    ``num_starts - 1`` are drawn from ``seed``.  The paths pivot in
+    lockstep in one stacked tableau (``_lemke_paths``), each exactly as
+    it would alone.  Different covering vectors can end at different
+    equilibria; the one with the lowest objective wins.  ``max_iter`` caps the pivots of each path, and
     ``iterations`` counts the pivots of all paths.  The winner's
     ``certificate`` (mu, lambda, nu) is read off its final basis, its
     ``residual`` is that certificate's ``certificate_violation``, and
@@ -440,10 +478,11 @@ def find_kkt_point(
         raise ValueError("tol must be positive")
     M, q, offsets, shift = _game_lcp(prog.game)
     rng = np.random.default_rng(seed)
+    covers = np.ones((num_starts, len(q)))
+    for path in range(1, num_starts):
+        covers[path] = rng.uniform(0.5, 1.5, len(q))
     best, pivots = None, 0
-    for path in range(num_starts):
-        cover = np.ones(len(q)) if path == 0 else rng.uniform(0.5, 1.5, len(q))
-        solution, z0_values = _lemke_path(M, q, cover, max_iter)
+    for path, (solution, z0_values) in enumerate(_lemke_paths(M, q, covers, max_iter)):
         if trace is not None:
             trace.extend((pivots + k, v, path) for k, v in enumerate(z0_values))
         pivots += len(z0_values)

@@ -238,3 +238,72 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout
+
+
+KKT_INSTANCES = {
+    "min-kkt": {"kind": "quadratic", "n_x": 1, "n_y": 0, "constant": 0.0, "linear": [1.0],
+                "cross": [], "square": [0.0], "epsilon": 0.1},
+    "minmax-kkt": {"kind": "minmax_ind", "n_x": 1, "n_y": 1, "alpha": 0.0, "beta": [0.0],
+                   "gamma": [], "zeta": [0.0], "theta": [], "epsilon": 0.1},
+}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("min-kkt", [1, 2]),
+    ("minmax-kkt", "x"),
+    ("min-kkt", {"x": {"a": 1}}),
+    ("minmax-kkt", {"y": [1.0]}),
+])
+def test_malformed_point_file_is_usage_error(tmp_path, capsys, kind, payload):
+    inst = tmp_path / "inst.json"
+    point = tmp_path / "pt.json"
+    inst.write_text(json.dumps(KKT_INSTANCES[kind]))
+    point.write_text(json.dumps(payload))
+    assert run("verify", "--kind", kind, "--instance", str(inst), "--point", str(point),
+               "--epsilon", "0.1") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"bad point file: {point}" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
+    q = tmp_path / "q.json"
+    g = tmp_path / "g.json"
+    nowhere = str(tmp_path / "missing" / "out.json")
+    run("gen", "--kind", "quadratic", "--n", "1", "--seed", "0", "--out", str(q))
+    run("gen", "--kind", "two-team", "--nx", "1", "--ny", "1", "--m", "2",
+        "--independent", "--seed", "0", "--out", str(g))
+    for argv in (
+        ("gen", "--kind", "quadratic", "--out", nowhere),
+        ("reduce", "--stage", "full", "--in", str(q), "--out", nowhere),
+        ("reduce", "--stage", "1", "--in", str(q), "--out", str(tmp_path / "m.json"),
+         "--params", nowhere),
+        ("solve", "--game", str(g), "--epsilon", "1e-6", "--out", nowhere),
+        ("solve", "--game", str(g), "--epsilon", "1e-6", "--trace", nowhere),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == cli.EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert f"cannot write {nowhere}" in err, argv
+        assert "Traceback" not in err
+
+
+def test_parser_is_built_once_and_survives_usage_errors(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    run("gen", "--kind", "two-team", "--nx", "1", "--ny", "1", "--m", "2",
+        "--independent", "--seed", "0", "--out", str(g))
+    solve = ("solve", "--game", str(g), "--epsilon", "1e-6", "--seed", "2")
+    cli.build_parser.cache_clear()
+    capsys.readouterr()
+    assert run(*solve) == cli.EXIT_PASS
+    first = capsys.readouterr()
+    for bad in (("solve", "--game", str(g), "--epsilon", "nan"),
+                ("solve", "--game", str(g), "--epsilon", "1e-6", "--bogus"),
+                ("verify", "--kind", "nash", "--epsilon", "0.1"),
+                ("gen", "--kind", "cube", "--out", str(g))):
+        assert run(*bad) == cli.EXIT_USAGE, bad
+        capsys.readouterr()
+        assert run(*solve) == cli.EXIT_PASS, bad
+        assert capsys.readouterr() == first, bad
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 8)

@@ -402,3 +402,75 @@ def test_solve_runs_no_lp(monkeypatch):
     for trial in range(20):
         g, s = degenerate_independent_game(rng)
         assert solve(g, s, epsilon=1e-9, seed=trial)[1].passed, trial
+
+
+def _covers(size, seed, paths=12):
+    rng = np.random.default_rng(seed)
+    return np.vstack([np.ones(size)] + [rng.uniform(0.5, 1.5, size) for _ in range(paths - 1)])
+
+
+def _assert_batch_matches_lone_paths(M, q, covers, max_pivots):
+    batch = membership_solver._lemke_paths(M, q, covers, max_pivots)
+    assert len(batch) == len(covers)
+    for p, (solution, z0_values) in enumerate(batch):
+        [(lone, lone_z0)] = membership_solver._lemke_paths(M, q, covers[p : p + 1], max_pivots)
+        assert z0_values == lone_z0, p
+        assert (solution is None) == (lone is None), p
+        if solution is not None:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(solution, lone)), p
+    return batch
+
+
+def _reduced_qp(rng, n):
+    cross = rng.uniform(-1, 1, (n, n))
+    np.fill_diagonal(cross, 0.0)
+    q = QuadraticInstance(n=n, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, n),
+                          cross=cross, square=rng.uniform(-1, 1, n), epsilon=1.0 / 13.0)
+    return reduce_full(q)[0]
+
+
+def test_stacked_lemke_paths_match_lone_paths_on_reduced_qps():
+    # Each path of the stacked tableau pivots exactly as it would alone,
+    # and as many times as the one-path-at-a-time solver did.
+    rng = np.random.default_rng(12)
+    pivots = []
+    for trial in range(6):
+        M, q, _, _ = membership_solver._game_lcp(_reduced_qp(rng, 1 + trial % 2))
+        batch = _assert_batch_matches_lone_paths(M, q, _covers(len(q), trial), 10**6)
+        assert all(solution is not None for solution, _ in batch), trial
+        pivots.append(sum(len(z0_values) for _, z0_values in batch))
+    assert pivots == [172, 330, 174, 320, 178, 332]
+
+
+def test_stacked_lemke_paths_match_lone_paths_through_tie_breaks(monkeypatch):
+    ties = []
+    break_tie = membership_solver._break_tie
+
+    def counting(*args):
+        ties.append(args[1].size)
+        return break_tie(*args)
+
+    monkeypatch.setattr(membership_solver, "_break_tie", counting)
+    rng = np.random.default_rng(402)
+    for trial in range(30):
+        g, _ = degenerate_independent_game(rng)
+        M, q, _, _ = membership_solver._game_lcp(g)
+        _assert_batch_matches_lone_paths(M, q, _covers(len(q), trial), 10**6)
+    assert ties and min(ties) >= 2
+
+
+def test_stacked_lemke_paths_cut_at_max_pivots_mid_batch():
+    rng = np.random.default_rng(13)
+    M, q, _, _ = membership_solver._game_lcp(_reduced_qp(rng, 1))
+    covers = _covers(len(q), 5)
+    full = membership_solver._lemke_paths(M, q, covers, 10**6)
+    lengths = sorted(len(z0_values) for _, z0_values in full)
+    cap = lengths[len(lengths) // 2]
+    assert lengths[0] <= cap < lengths[-1]
+    batch = _assert_batch_matches_lone_paths(M, q, covers, cap)
+    for (solution, z0_values), (whole, whole_z0) in zip(batch, full):
+        assert z0_values == whole_z0[:cap]
+        if len(whole_z0) <= cap:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(solution, whole))
+        else:
+            assert solution is None

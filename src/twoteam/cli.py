@@ -303,7 +303,10 @@ def cmd_oracle(args) -> int:
         game, structure = _load_game(args.game)
         if structure is None:
             raise UsageError("game file carries no teams block")
-        value = oracle.grid_minimax_value(game, structure, args.grid, budget=args.budget)
+        try:
+            value = oracle.grid_minimax_value(game, structure, args.grid, budget=args.budget)
+        except ValueError as exc:  # dependent adversaries or failed validation
+            raise UsageError(str(exc)) from exc
         print(f"grid minimax value {value:.12g}")
         return EXIT_PASS
     raise UsageError(f"unknown oracle task {args.task!r}")

@@ -10,9 +10,13 @@ The regret, KKT-lattice and minimax scans walk their lattices with
 ``_prefix_tiles``: only the digits of the axes before the last (the
 prefix) are decoded, and the last axis is a broadcast block, so
 per-prefix terms are computed once per prefix and combined with
-precomputed last-axis rows.  The stage-1 scan instead counts KKT cells in
-one small table per index.  No scan calls the point-wise verifiers; small
-KKT lattices take the same vectorized path as large ones.
+precomputed last-axis rows.  Per-prefix rows are gathered with ``take``.
+Terms that do not depend on the block stay per prefix row: the regret
+of a player with no edge to the last player, and the KKT-lattice bounds
+on the gradient, one pair per digit.  The regret scan's digits come out
+column-major, one run per player.  The stage-1 scan instead counts KKT
+cells in one small table per index.  No scan calls the point-wise
+verifiers; small KKT lattices take the same vectorized path as large ones.
 """
 
 from __future__ import annotations
@@ -128,13 +132,18 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
 
     ``digits[:, i]`` indexes player i's simplex grid; regret math is done
     from the payoff matrices directly.  Iteration order is lexicographic in
-    the digit tuples, and a chunk is one ``_prefix_tiles`` tile.
+    the digit tuples, and a chunk is one ``_prefix_tiles`` tile.  A chunk's
+    ``digits`` is a fresh int64 array in column-major (Fortran) order: each
+    player's column is filled as one run.
 
     Per tile, player i's payoff vector is ``pre + tail``: ``pre`` sums its
     rows from the prefix players, ``tail`` is its row from the last player's
     block (none for the last player itself).  The best reply is a running
     maximum over actions and the achieved payoff is ``x . pre + x . tail``,
-    so no (points x actions) array is built.
+    so no (points x actions) array is built.  A prefix player with no edge
+    to the last player has no ``tail``: its regret is constant along the
+    block, so it is computed once per prefix row and seeds the tile's
+    maximum.
     """
     k = _grid_k(grid)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
@@ -146,34 +155,43 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
         raise GridBudgetError(required=total, budget=budget)
 
     last = game.num_players - 1
-    # W[i][j][d] = payoff contribution to player i when j plays grid row d;
-    # the last player's rows are stored action-major.
+    # W[i][j][d] = payoff contribution to player i when j plays grid row d.
+    # tails[i] holds a prefix player's rows from the last player, stored
+    # action-major; players without that edge have none.
     W = {i: {j: grids[j] @ game.payoff(i, j).T for j in game.neighbors(i) if j != last}
          for i in range(last + 1)}
-    tails = [np.ascontiguousarray((grids[last] @ game.payoff(i, last).T).T) for i in range(last)]
+    tails = {i: np.ascontiguousarray((grids[last] @ game.payoff(i, last).T).T)
+             for i in range(last) if game.has_edge(i, last)}
+
+    def payoff_rows(i, prefix):
+        return sum((W[i][j].take(prefix[:, j], axis=0) for j in W[i]),
+                   np.zeros((len(prefix), counts[i])))
 
     for prefix, lo, hi in _prefix_tiles(sizes):
-        G = grids[last][lo:hi]
-        max_regret = np.zeros((len(prefix), hi - lo))
-        for i in range(last + 1):
-            pre = sum((W[i][j][prefix[:, j]] for j in W[i]), np.zeros((len(prefix), counts[i])))
-            if i == last:
-                regret = pre.max(axis=1)[:, None] - pre @ G.T
-            else:
-                x, tail = grids[i][prefix[:, i]], tails[i][:, lo:hi]
-                regret = pre[:, :1] + tail[0]
-                term = np.empty_like(regret)
-                for a in range(1, counts[i]):
-                    np.add(pre[:, a, None], tail[a], out=term)
-                    np.maximum(regret, term, out=regret)
-                achieved = x @ tail
-                achieved += np.einsum("ck,ck->c", x, pre)[:, None]
-                regret -= achieved
+        row_regret = np.zeros(len(prefix))
+        for i in range(last):
+            if i not in tails:
+                pre, x = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=0)
+                np.maximum(row_regret, pre.max(axis=1) - np.einsum("ck,ck->c", x, pre), out=row_regret)
+        max_regret = np.repeat(row_regret[:, None], hi - lo, axis=1)
+        for i, rows in tails.items():
+            pre, x, tail = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=0), rows[:, lo:hi]
+            regret = pre[:, :1] + tail[0]
+            term = np.empty_like(regret)
+            for a in range(1, counts[i]):
+                np.add(pre[:, a, None], tail[a], out=term)
+                np.maximum(regret, term, out=regret)
+            achieved = x @ tail
+            achieved += np.einsum("ck,ck->c", x, pre)[:, None]
+            regret -= achieved
             np.maximum(max_regret, regret, out=max_regret)
-        digits = np.empty((len(prefix), hi - lo, last + 1), dtype=np.int64)
-        digits[:, :, :last] = prefix[:, None, :]
-        digits[:, :, last] = np.arange(lo, hi)
-        yield digits.reshape(-1, last + 1), max_regret.ravel()
+        pre = payoff_rows(last, prefix)
+        regret = pre.max(axis=1)[:, None] - pre @ grids[last][lo:hi].T
+        np.maximum(max_regret, regret, out=max_regret)
+        digits = np.empty((last + 1, len(prefix), hi - lo), dtype=np.int64)
+        digits[:last] = prefix.T[:, :, None]
+        digits[last] = np.arange(lo, hi)
+        yield digits.reshape(last + 1, -1).T, max_regret.ravel()
 
 
 def grid_profile(game: PolymatrixGame, grid, digits) -> StrategyProfile:
@@ -223,13 +241,20 @@ def _box_total(dims: int, k: int) -> int:
 def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     """All box-lattice points passing the matching KKT verifier at epsilon.
 
-    Every lattice, small or large, goes through one vectorized path with the
-    verifier's case split on exact boundary membership (lattice endpoints
-    are exact).  The gradient is affine, ``g = c + p @ S``; for a minmax
-    instance the y rows are the negated max-side gradient, which turns the
-    max-side conditions into min-side ones.  Per ``_prefix_tiles`` tile,
-    coordinate i's gradient is ``c_i + prefix @ S[:-1, i]`` plus the last
-    coordinate's term broadcast over the block.
+    Every lattice, small or large, goes through one vectorized path.  The
+    gradient is affine, ``g = c + p @ S``; for a minmax instance the y rows
+    are the negated max-side gradient, which turns the max-side conditions
+    into min-side ones.  Per ``_prefix_tiles`` tile, coordinate i's gradient
+    is ``c_i + prefix @ S[:-1, i]`` plus the last coordinate's term
+    broadcast over the block.
+
+    The verifier's case split on exact boundary membership (lattice
+    endpoints are exact) becomes a bound per digit: ``low[d] <= g <=
+    high[d]``, with ``low`` = -eps except -inf at digit k and ``high`` = eps
+    except +inf at digit 0.  The prefix digits' bounds broadcast by row,
+    the block's by column.  This is exact: ``-g - eps <= 0`` in floating
+    point holds iff ``g >= -eps``, since rounding is monotone and a nonzero
+    sum of two doubles never rounds to 0.
     """
     k = _grid_k(grid)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
@@ -251,16 +276,24 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
         raise GridBudgetError(required=total, budget=budget)
 
     vals = np.arange(k + 1, dtype=float) / k
+    # Digit d passes when low[d] <= g <= high[d].
+    low = np.full(k + 1, -float(epsilon))
+    high = np.full(k + 1, float(epsilon))
+    low[k], high[0] = -np.inf, np.inf
     last = dims - 1
     hits = []
     for prefix, lo, hi in _prefix_tiles([k + 1] * dims):
-        pts = vals[prefix]
-        tail, tail_digits = vals[lo:hi], np.arange(lo, hi)
+        pts = vals.take(prefix)
+        tail = vals[lo:hi]
         mask = np.ones((len(prefix), hi - lo), dtype=bool)
         for i in range(dims):
             g = (c[i] + pts @ S[:last, i])[:, None] + tail * S[last, i]
-            d = prefix[:, i, None] if i < last else tail_digits
-            mask &= np.where(d == 0, -g - epsilon, np.where(d == k, g - epsilon, np.abs(g) - epsilon)) <= 0.0
+            if i < last:
+                below, above = low.take(prefix[:, i])[:, None], high.take(prefix[:, i])[:, None]
+            else:
+                below, above = low[lo:hi], high[lo:hi]
+            mask &= g >= below
+            mask &= g <= above
         rows, cols = np.nonzero(mask)
         if len(rows):
             hits.append(np.column_stack([pts[rows], tail[cols]]))
@@ -519,13 +552,14 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
         coef = np.zeros((len(digits), game.strategy_counts[xs[last]]))
         for (a, b) in pairs:
             if b == last:
-                coef -= P[(a, b)][digits[:, a]]
+                coef -= P[(a, b)].take(digits[:, a], axis=0)
             else:
-                base -= np.einsum("ck,ck->c", P[(a, b)][digits[:, a]], grids[b][digits[:, b]])
+                base -= np.einsum("ck,ck->c", P[(a, b)].take(digits[:, a], axis=0),
+                                  grids[b].take(digits[:, b], axis=0))
         value = base[:, None] + coef @ grids[last][lo:hi].T
         term = np.empty_like(value)
         for j in ys:
-            A = sum((W[j][t][digits[:, t]] for t in range(last)),
+            A = sum((W[j][t].take(digits[:, t], axis=0) for t in range(last)),
                     np.zeros((len(digits), game.strategy_counts[j])))
             rows, cols = A.T, B[j][:, lo:hi]
             best_j = rows[0][:, None] + cols[0]

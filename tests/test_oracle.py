@@ -19,6 +19,8 @@ from twoteam.instances import (
     MinmaxPoint,
     QuadraticInstance,
     eval_quadratic,
+    grad_minmax,
+    grad_quadratic,
     verify_min_kkt,
     verify_minmax_kkt,
 )
@@ -108,7 +110,22 @@ REGRET_CASES = {
     "last-without-edges": ([2, 3, 3], [(0, 1)], False, 3),
     "unequal-actions": ([3, 1, 2, 4], [(0, 1), (0, 3), (1, 2), (2, 3)], False, 2),
     "integer-ties": ([2, 2, 2], [(0, 1), (1, 2), (0, 2)], True, 4),
+    # A stage-2 game's shape: adversary 2 has no edge to adversary 3, the
+    # last player, so its regret is constant along the last axis.
+    "stage2-shape": ([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], False, 4),
 }
+
+
+def regret_case(case):
+    """The case's game and grid, every digit tuple in lexicographic order,
+    and each profile's regret from verify_epsilon_nash."""
+    counts, edges, integer, k = REGRET_CASES[case]
+    g = regret_game(counts, edges, np.random.default_rng(sorted(REGRET_CASES).index(case)), integer)
+    grids = [simplex_grid(m, k) for m in counts]
+    want_digits = list(itertools.product(*(range(len(grid)) for grid in grids)))
+    want = [verify_epsilon_nash(g, StrategyProfile([grid[d] for grid, d in zip(grids, row)]), 0.0).max_regret
+            for row in want_digits]
+    return g, k, want_digits, want
 
 
 @pytest.mark.parametrize("case", sorted(REGRET_CASES))
@@ -116,12 +133,7 @@ def test_scan_regrets_agree_with_best_response_path(case, monkeypatch):
     # The broadcast regret math must match the definitional regret from
     # verify_epsilon_nash on every profile, in lexicographic order, whatever
     # the tiling.
-    counts, edges, integer, k = REGRET_CASES[case]
-    g = regret_game(counts, edges, np.random.default_rng(sorted(REGRET_CASES).index(case)), integer)
-    grids = [simplex_grid(m, k) for m in counts]
-    want_digits = list(itertools.product(*(range(len(grid)) for grid in grids)))
-    want = [verify_epsilon_nash(g, StrategyProfile([grid[d] for grid, d in zip(grids, row)]), 0.0).max_regret
-            for row in want_digits]
+    g, k, want_digits, want = regret_case(case)
     for chunk in (oracle._CHUNK, 3, 7):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         digits, regrets = [], []
@@ -131,6 +143,19 @@ def test_scan_regrets_agree_with_best_response_path(case, monkeypatch):
             regrets.extend(r)
         assert digits == want_digits
         assert np.abs(np.array(regrets) - want).max() <= 1e-12
+
+
+def test_scan_regret_chunks_survive_later_yields(monkeypatch):
+    # Every chunk is kept before any is read, so an array reused across
+    # yields would show up as overwritten digits or regrets.
+    g, k, want_digits, want = regret_case("stage2-shape")
+    for chunk in (oracle._CHUNK, 7):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        chunks = list(iter_profile_regrets(g, k))
+        assert all(d.dtype == np.int64 for d, _ in chunks)
+        assert np.array_equal(np.concatenate([d for d, _ in chunks]), np.array(want_digits))
+        regrets = np.concatenate([r for _, r in chunks])
+        assert np.abs(regrets - want).max() <= 1e-12
 
 
 def test_grid_nash_profiles_bilinear_stage2():
@@ -230,6 +255,39 @@ def test_grid_kkt_points_match_definitional_verifier(case, monkeypatch):
     # The default chunk holds the whole lattice; a chunk of 5 splits the
     # last axis into blocks, one of 50 does so only where the last axis is
     # longer and otherwise splits the prefixes into tiles.
+    for chunk in (oracle._CHUNK, 5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert np.array_equal(grid_kkt_points(inst, k, eps), want)
+
+
+# Dyadic coefficients on a grid of 1/8: every lattice gradient is exact, and
+# some equal -eps at digit 0, +eps at digit k and both inside, for eps = 0
+# and eps = 1/4.
+BOUNDARY_INSTANCES = {
+    "quadratic": QuadraticInstance(n=2, constant=0, linear=[-0.5, 0.25], cross=[[0, 0.5], [0, 0]],
+                                   square=[0.25, -0.5], epsilon=0.25),
+    "minmax": MinmaxIndInstance(n_x=2, n_y=1, alpha=0, beta=[-0.5, 0.25], gamma=[[0, 0.25], [0.25, 0]],
+                                zeta=[0.125], theta=[[0.5], [-0.75]], epsilon=0.25),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_INSTANCES))
+def test_grid_kkt_points_exact_on_the_epsilon_boundary(kind, eps, monkeypatch):
+    inst, k = BOUNDARY_INSTANCES[kind], 8
+    digits = np.array(list(itertools.product(range(k + 1), repeat=inst.n if kind == "quadratic" else 3)))
+    if kind == "quadratic":
+        grads = np.array([grad_quadratic(inst, d / k) for d in digits])
+    else:
+        # A max variable's conditions are the min-side ones of -gradient.
+        grads = np.array([np.concatenate([g, -q]) for g, q in
+                          (grad_minmax(inst, (d[:2] / k, d[2:] / k)) for d in digits)])
+    inside = (digits > 0) & (digits < k)
+    assert np.any((digits == 0) & (grads == -eps))
+    assert np.any((digits == k) & (grads == eps))
+    assert np.any(inside & (grads == eps)) and np.any(inside & (grads == -eps))
+    want = definitional_kkt_points(inst, k, eps)
+    assert 0 < len(want) < len(digits)
     for chunk in (oracle._CHUNK, 5, 50):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert np.array_equal(grid_kkt_points(inst, k, eps), want)

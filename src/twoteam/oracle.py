@@ -13,10 +13,19 @@ per-prefix terms are computed once per prefix and combined with
 precomputed last-axis rows.  Per-prefix rows are gathered with ``take``.
 Terms that do not depend on the block stay per prefix row: the regret
 of a player with no edge to the last player, and the KKT-lattice bounds
-on the gradient, one pair per digit.  The regret scan's digits come out
-column-major, one run per player.  The stage-1 scan instead counts KKT
-cells in one small table per index.  No scan calls the point-wise
-verifiers; small KKT lattices take the same vectorized path as large ones.
+on the gradient, one pair per digit.  Each call of a scan owns one
+workspace of tile-sized buffers, allocated in the call and replaced only
+when the tile shape changes; every outer sum, product, maximum and mask
+is written into it in place, so the only tile-sized arrays a tile
+allocates are those the scan hands back.  The in-place forms do the
+same float operations on the same operands as fresh arrays would
+(addition commutes exactly, and a maximum of finite values does not
+depend on order), so the results are byte-identical to them.  The
+regret scan's digits come out column-major, one run per player.  The
+stage-1 scan instead counts KKT cells in one small table per index.  No
+scan calls the point-wise verifiers; small KKT lattices take the same
+vectorized path as large ones.  Budget guards compare lattice sizes from
+``simplex_grid_size`` before any grid is built.
 """
 
 from __future__ import annotations
@@ -35,10 +44,13 @@ from .instances import verify_min_kkt, verify_minmax_kkt  # noqa: F401
 from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 DEFAULT_BUDGET = 10_000_000
-# Points per scan tile.  A tile's arrays of 2^16 doubles (512 KiB) are
-# reused across the per-player passes; on a 2-vCPU host, tiles of 2^20
-# ran the benchmark's oracle-scan mix about 25% slower.
-_CHUNK = 1 << 16
+# Points per scan tile.  Each scan call allocates its tile buffers of up to
+# 2^15 doubles (256 KiB) once and reuses them for every tile and every
+# per-player pass.  On a 2-vCPU host, in 10 alternating runs of the
+# benchmark's oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%,
+# 10/10) and on peak RSS (-10%) with the tail latency flat; tiles of 2^20
+# ran the mix about 25% slower than 2^16.
+_CHUNK = 1 << 15
 
 
 class GridBudgetError(RuntimeError):
@@ -75,20 +87,25 @@ def _grid_k(grid) -> int:
 def simplex_grid(m: int, k: int) -> np.ndarray:
     """All points of the m-simplex with coordinates in multiples of 1/k.
 
-    Enumerated as exact integer compositions (lexicographic) and divided
-    once at the end, so the grid itself carries no float drift.
+    The rows are the integer compositions of k into m parts, in
+    lexicographic order, divided by k once at the end, so the grid itself
+    carries no float drift.  They are built one coordinate at a time: a
+    partial row with r still to place is repeated r + 1 times, and its
+    copies take 0, 1, ..., r as the next coordinate; the last coordinate
+    is what remains.
     """
-
-    def comps(parts, total):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in comps(parts - 1, total - first):
-                yield (first,) + rest
-
-    rows = np.array(list(comps(m, k)), dtype=float)
-    return rows / k
+    if m < 1:
+        raise ValueError("a simplex needs at least one coordinate")
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([k], dtype=np.int64)
+    for _ in range(m - 1):
+        parent = np.repeat(np.arange(len(left)), left + 1)
+        # A copy's place in its parent's run is its next coordinate.
+        starts = np.cumsum(left + 1) - (left + 1)
+        nxt = np.arange(len(parent)) - starts[parent]
+        rows = np.column_stack([rows[parent], nxt])
+        left = left[parent] - nxt
+    return np.column_stack([rows, left]) / k
 
 
 def simplex_grid_size(m: int, k: int) -> int:
@@ -134,25 +151,28 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
     from the payoff matrices directly.  Iteration order is lexicographic in
     the digit tuples, and a chunk is one ``_prefix_tiles`` tile.  A chunk's
     ``digits`` is a fresh int64 array in column-major (Fortran) order: each
-    player's column is filled as one run.
+    player's column is filled as one run.  Its ``max_regret`` is fresh too,
+    so a caller may keep every chunk.
 
     Per tile, player i's payoff vector is ``pre + tail``: ``pre`` sums its
     rows from the prefix players, ``tail`` is its row from the last player's
     block (none for the last player itself).  The best reply is a running
     maximum over actions and the achieved payoff is ``x . pre + x . tail``,
-    so no (points x actions) array is built.  A prefix player with no edge
-    to the last player has no ``tail``: its regret is constant along the
-    block, so it is computed once per prefix row and seeds the tile's
-    maximum.
+    so no (points x actions) array is built.  The tile's maximum starts as
+    the last player's regret; each prefix player with an edge to the last
+    player is folded in from the call's workspace.  A prefix player without
+    that edge has no ``tail``: its regret is constant along the block, so
+    it is computed once per prefix row, and the row maxima (at least 0)
+    are folded in last by one broadcast maximum.
     """
     k = _grid_k(grid)
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     counts = game.strategy_counts
-    grids = [simplex_grid(m, k) for m in counts]
-    sizes = [len(g) for g in grids]
+    sizes = [simplex_grid_size(m, k) for m in counts]
     total = math.prod(sizes)
     if total > budget:
         raise GridBudgetError(required=total, budget=budget)
+    grids = [simplex_grid(m, k) for m in counts]
 
     last = game.num_players - 1
     # W[i][j][d] = payoff contribution to player i when j plays grid row d.
@@ -164,30 +184,37 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
              for i in range(last) if game.has_edge(i, last)}
 
     def payoff_rows(i, prefix):
-        return sum((W[i][j].take(prefix[:, j], axis=0) for j in W[i]),
-                   np.zeros((len(prefix), counts[i])))
+        pre = np.zeros((len(prefix), counts[i]))
+        for j, rows in W[i].items():
+            pre += rows.take(prefix[:, j], axis=0)
+        return pre
 
+    shape = None
     for prefix, lo, hi in _prefix_tiles(sizes):
+        if shape != (len(prefix), hi - lo):
+            shape = (len(prefix), hi - lo)
+            regret, term, achieved = np.empty((3,) + shape)
+        pre = payoff_rows(last, prefix)
+        max_regret = pre @ grids[last][lo:hi].T
+        np.subtract(pre.max(axis=1)[:, None], max_regret, out=max_regret)
+        for i, rows in tails.items():
+            pre, x, tail = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=0), rows[:, lo:hi]
+            regret[:] = tail[0]
+            regret += pre[:, :1]
+            for a in range(1, counts[i]):
+                term[:] = tail[a]
+                term += pre[:, a, None]
+                np.maximum(regret, term, out=regret)
+            np.matmul(x, tail, out=achieved)
+            achieved += np.einsum("ck,ck->c", x, pre)[:, None]
+            regret -= achieved
+            np.maximum(max_regret, regret, out=max_regret)
         row_regret = np.zeros(len(prefix))
         for i in range(last):
             if i not in tails:
                 pre, x = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=0)
                 np.maximum(row_regret, pre.max(axis=1) - np.einsum("ck,ck->c", x, pre), out=row_regret)
-        max_regret = np.repeat(row_regret[:, None], hi - lo, axis=1)
-        for i, rows in tails.items():
-            pre, x, tail = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=0), rows[:, lo:hi]
-            regret = pre[:, :1] + tail[0]
-            term = np.empty_like(regret)
-            for a in range(1, counts[i]):
-                np.add(pre[:, a, None], tail[a], out=term)
-                np.maximum(regret, term, out=regret)
-            achieved = x @ tail
-            achieved += np.einsum("ck,ck->c", x, pre)[:, None]
-            regret -= achieved
-            np.maximum(max_regret, regret, out=max_regret)
-        pre = payoff_rows(last, prefix)
-        regret = pre.max(axis=1)[:, None] - pre @ grids[last][lo:hi].T
-        np.maximum(max_regret, regret, out=max_regret)
+        np.maximum(max_regret, row_regret[:, None], out=max_regret)
         digits = np.empty((last + 1, len(prefix), hi - lo), dtype=np.int64)
         digits[:last] = prefix.T[:, :, None]
         digits[last] = np.arange(lo, hi)
@@ -246,7 +273,8 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     are the negated max-side gradient, which turns the max-side conditions
     into min-side ones.  Per ``_prefix_tiles`` tile, coordinate i's gradient
     is ``c_i + prefix @ S[:-1, i]`` plus the last coordinate's term
-    broadcast over the block.
+    broadcast over the block; the gradient and the tile's masks live in
+    the call's workspace.
 
     The verifier's case split on exact boundary membership (lattice
     endpoints are exact) becomes a bound per digit: ``low[d] <= g <=
@@ -282,18 +310,24 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     low[k], high[0] = -np.inf, np.inf
     last = dims - 1
     hits = []
+    shape = None
     for prefix, lo, hi in _prefix_tiles([k + 1] * dims):
+        if shape != (len(prefix), hi - lo):
+            shape = (len(prefix), hi - lo)
+            g = np.empty(shape)
+            mask, ok = np.empty((2,) + shape, dtype=bool)
         pts = vals.take(prefix)
         tail = vals[lo:hi]
-        mask = np.ones((len(prefix), hi - lo), dtype=bool)
+        mask.fill(True)
         for i in range(dims):
-            g = (c[i] + pts @ S[:last, i])[:, None] + tail * S[last, i]
+            g[:] = tail * S[last, i]
+            g += (c[i] + pts @ S[:last, i])[:, None]
             if i < last:
                 below, above = low.take(prefix[:, i])[:, None], high.take(prefix[:, i])[:, None]
             else:
                 below, above = low[lo:hi], high[lo:hi]
-            mask &= g >= below
-            mask &= g <= above
+            mask &= np.greater_equal(g, below, out=ok)
+            mask &= np.less_equal(g, above, out=ok)
         rows, cols = np.nonzero(mask)
         if len(rows):
             hits.append(np.column_stack([pts[rows], tail[cols]]))
@@ -522,7 +556,8 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     prefixes against a block ``G`` of the last player's grid then has values
     ``base + coef @ G.T + sum_j max_k (A_j[:, None, k] + B_j[None, :, k])``,
     where ``B_j`` holds adversary j's rows from the last player; the tiles
-    come from ``_prefix_tiles``.
+    come from ``_prefix_tiles``, and ``value``, the running maximum and the
+    outer sums live in the call's workspace.
     """
     report = validate_two_team(game, structure)
     if not report.passed or not structure.independent_adversaries:
@@ -531,11 +566,11 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     xs = list(structure.team_x)
     ys = list(structure.team_y)
-    grids = [simplex_grid(game.strategy_counts[i], k) for i in xs]
-    sizes = [len(g) for g in grids]
+    sizes = [simplex_grid_size(game.strategy_counts[i], k) for i in xs]
     total = math.prod(sizes)
     if total > budget:
         raise GridBudgetError(required=total, budget=budget)
+    grids = [simplex_grid(game.strategy_counts[i], k) for i in xs]
 
     last = len(xs) - 1
     # Adversary j's payoff row contributions per x-player grid row, zero
@@ -547,7 +582,11 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     P = {(a, b): grids[a] @ game.payoff(xs[a], xs[b]) for (a, b) in pairs}
 
     best = np.inf
+    shape = None
     for digits, lo, hi in _prefix_tiles(sizes):
+        if shape != (len(digits), hi - lo):
+            shape = (len(digits), hi - lo)
+            value, best_j, term = np.empty((3,) + shape)
         base = np.zeros(len(digits))
         coef = np.zeros((len(digits), game.strategy_counts[xs[last]]))
         for (a, b) in pairs:
@@ -556,15 +595,18 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
             else:
                 base -= np.einsum("ck,ck->c", P[(a, b)].take(digits[:, a], axis=0),
                                   grids[b].take(digits[:, b], axis=0))
-        value = base[:, None] + coef @ grids[last][lo:hi].T
-        term = np.empty_like(value)
+        np.matmul(coef, grids[last][lo:hi].T, out=value)
+        value += base[:, None]
         for j in ys:
-            A = sum((W[j][t].take(digits[:, t], axis=0) for t in range(last)),
-                    np.zeros((len(digits), game.strategy_counts[j])))
+            A = np.zeros((len(digits), game.strategy_counts[j]))
+            for t in range(last):
+                A += W[j][t].take(digits[:, t], axis=0)
             rows, cols = A.T, B[j][:, lo:hi]
-            best_j = rows[0][:, None] + cols[0]
+            best_j[:] = cols[0]
+            best_j += rows[0][:, None]
             for a_k, b_k in zip(rows[1:], cols[1:]):
-                np.add(a_k[:, None], b_k, out=term)
+                term[:] = b_k
+                term += a_k[:, None]
                 np.maximum(best_j, term, out=best_j)
             value += best_j
         best = min(best, float(value.min()))

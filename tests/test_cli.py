@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -180,6 +181,19 @@ def test_oracle_commands(tmp_path):
     run("gen", "--kind", "minmax", "--n", "1", "--seed", "0", "--out", str(m))
     assert run("oracle", "--task", "kkt-grid", "--instance", str(m), "--grid", "10",
                "--epsilon", "0.5") == 0
+
+
+def test_oracle_budget_guard_exits_before_enumerating(tmp_path, capsys):
+    # At grid 10^5 a 3-action player's simplex grid has about 5 * 10^9
+    # points; the default budget refuses the lattice from its size alone.
+    g = tmp_path / "g.json"
+    run("gen", "--kind", "two-team", "--nx", "1", "--ny", "1", "--m", "3",
+        "--independent", "--seed", "0", "--out", str(g))
+    for task in ("min-regret", "minimax"):
+        start = time.perf_counter()
+        assert run("oracle", "--task", task, "--game", str(g), "--grid", "100000") == cli.EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert "budget" in capsys.readouterr().err
 
 
 def test_trace_file_rows(tmp_path):

@@ -59,6 +59,22 @@ def test_simplex_grid_counts_and_exactness():
         assert np.array_equal(grid * k, np.round(grid * k))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_simplex_grid_is_the_lexicographic_compositions(m):
+    # Definitional enumeration: every m-tuple over 0..k summing to k, in
+    # itertools.product (lexicographic) order, divided by k.
+    for k in range(1, 13):
+        want = np.array([t for t in itertools.product(range(k + 1), repeat=m) if sum(t) == k]) / k
+        got = simplex_grid(m, k)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
+def test_simplex_grid_rejects_an_empty_simplex():
+    with pytest.raises(ValueError):
+        simplex_grid(0, 3)
+
+
 def test_grid_spec_validates():
     assert GridSpec(20).resolution == 0.05
     with pytest.raises(ValueError):
@@ -88,6 +104,23 @@ def test_budget_guard_is_hard_error():
     with pytest.raises(GridBudgetError) as err:
         grid_min_regret_profile(g, 100, budget=10**6)
     assert err.value.required == simplex_grid_size(3, 100) ** 4
+
+
+def test_budget_guards_run_before_any_grid_is_built(monkeypatch):
+    # A grid of 10^6 on a 3-action player has about 5 * 10^11 points; the
+    # guards must refuse it from the sizes alone.
+    def no_grids(m, k):
+        raise AssertionError("simplex_grid called before the budget guard")
+
+    monkeypatch.setattr(oracle, "simplex_grid", no_grids)
+    g, s = team_game(np.random.default_rng(0), [3, 2], [3], [(0, 1)], [(0, 0), (1, 0)])
+    with pytest.raises(GridBudgetError):
+        next(iter_profile_regrets(g, 10**6, budget=10))
+    with pytest.raises(GridBudgetError):
+        grid_min_regret_profile(g, 10**6, budget=10)
+    with pytest.raises(GridBudgetError) as err:
+        grid_minimax_value(g, s, 10**6, budget=10)
+    assert err.value.required == simplex_grid_size(3, 10**6) * simplex_grid_size(2, 10**6)
 
 
 def regret_game(counts, edges, rng, integer=False):
@@ -156,6 +189,33 @@ def test_scan_regret_chunks_survive_later_yields(monkeypatch):
         assert np.array_equal(np.concatenate([d for d, _ in chunks]), np.array(want_digits))
         regrets = np.concatenate([r for _, r in chunks])
         assert np.abs(regrets - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_scan_regret_workspaces_are_per_call(chunk, monkeypatch):
+    # Two scans with different tile shapes advance in alternation and every
+    # chunk is kept as yielded; at the end each must still hold the bytes
+    # its scan yields when run alone.  A tile's arrays that are not yielded
+    # are filled and read within the tile, so an array handed out by one
+    # call and reused by another would show up here.
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    cases = [regret_case(case)[:2] for case in ("stage2-shape", "unequal-actions")]
+    alone = [[(d.copy(), r.copy()) for d, r in iter_profile_regrets(g, k)] for g, k in cases]
+    together = [[], []]
+    # zip_longest advances the two generators in turn.
+    for steps in itertools.zip_longest(*(iter_profile_regrets(g, k) for g, k in cases)):
+        for kept, step in zip(together, steps):
+            if step is not None:
+                kept.append(step)
+    assert [len(a) for a in alone] == [len(t) for t in together]
+    if chunk is not None:
+        assert len(alone[0]) > 1 and len(alone[1]) > 1
+    for a, t in zip(alone, together):
+        for (d_a, r_a), (d_t, r_t) in zip(a, t):
+            assert d_t.dtype == d_a.dtype and d_t.shape == d_a.shape
+            assert np.array_equal(d_t, d_a)
+            assert r_t.dtype == r_a.dtype and r_t.tobytes() == r_a.tobytes()
 
 
 def test_grid_nash_profiles_bilinear_stage2():

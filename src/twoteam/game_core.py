@@ -342,16 +342,17 @@ def game_from_dict(data: dict):
         game = PolymatrixGame(counts)
         for e in data.get("edges", []):
             game.add_edge(e["i"], e["j"], e["a_ij"], e["a_ji"])
+        structure = None
+        if "teams" in data:
+            t = data["teams"]
+            structure = TwoTeamStructure(
+                team_x=tuple(t["x"]),
+                team_y=tuple(t["y"]),
+                independent_adversaries=bool(t.get("independent", False)),
+            )
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed game data: {exc}") from exc
-    structure = None
-    if "teams" in data:
-        t = data["teams"]
-        structure = TwoTeamStructure(
-            team_x=tuple(t["x"]),
-            team_y=tuple(t["y"]),
-            independent_adversaries=bool(t.get("independent", False)),
-        )
+    if structure is not None:
         structure.check_partition(game)
     return game, structure
 

@@ -63,39 +63,33 @@ class MultiplierExtractionError(SolverError):
 class DualMinProgram:
     """The eliminated minimization program for one game.
 
-    ``coord[(a, b)]`` (a < b, team-X grid indices) holds the padded
-    coordination matrix between X players a and b; ``cross[j][i]`` holds
-    the padded A^{y_j, x_i} matrix or None when the edge is absent.  All
-    players are padded to a common strategy count m by duplicating their
-    last action; ``orig_counts`` remembers the true counts so solutions can
-    be folded back.
+    ``xs`` and ``ys`` are the team-X and team-Y player ids, and every
+    player keeps its own action count.  ``coord[(a, b)]`` (a < b, team-X
+    grid indices) holds the coordination matrix A^{x_a, x_b};
+    ``cross[j][i]`` holds A^{y_j, x_i}, or None when the edge is absent.
+    ``x`` below is one strategy vector per team-X player.
     """
 
     game: PolymatrixGame
-    structure: TwoTeamStructure
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    m: int
     coord: dict
     cross: list
-    orig_counts: dict
 
     # -- objective machinery -------------------------------------------------
 
-    def adversary_payoffs(self, x: list) -> np.ndarray:
-        """c[j, k] = sum_i e_k . A^{j,i} x_i for every adversary j and action k."""
-        c = np.zeros((len(self.ys), self.m))
-        for j in range(len(self.ys)):
-            for i in range(len(self.xs)):
-                mat = self.cross[j][i]
+    def adversary_payoffs(self, x: list) -> list:
+        """c[j][k] = sum_i e_k . A^{j,i} x_i for every adversary j and action k."""
+        c = [np.zeros(self.game.strategy_counts[p]) for p in self.ys]
+        for j, row in enumerate(self.cross):
+            for i, mat in enumerate(row):
                 if mat is not None:
                     c[j] += mat @ x[i]
         return c
 
     def gamma_of(self, x: list) -> np.ndarray:
-        """Tight dual values: gamma_j = max_k c[j, k]."""
-        c = self.adversary_payoffs(x)
-        return c.max(axis=1) if len(self.ys) else np.zeros(0)
+        """Tight dual values: gamma_j = max_k c[j][k]."""
+        return np.array([c.max() for c in self.adversary_payoffs(x)], dtype=float)
 
     def coordination_value(self, x: list) -> float:
         total = 0.0
@@ -109,7 +103,7 @@ class DualMinProgram:
 
     def linear_part(self, x: list) -> list:
         """b_a = -sum_{b != a} A^{a,b} x_b (gradient of the coordination term)."""
-        out = [np.zeros(self.m) for _ in self.xs]
+        out = [np.zeros(len(s)) for s in x]
         for (a, b), mat in self.coord.items():
             out[a] -= mat @ x[b]
             out[b] -= mat.T @ x[a]
@@ -120,14 +114,15 @@ class DualMinProgram:
 class MultiplierCertificate:
     """(mu, lambda, nu) witnessing the KKT conditions of the dual program.
 
-    mu[j] is adversary j's multiplier vector over actions (a probability
-    distribution), lam[i] the simplex equality multiplier of X player i,
-    nu[i] the nonnegativity multipliers of X player i's coordinates.
+    mu[j] is adversary j's multiplier vector over its actions (a
+    probability distribution), lam[i] the simplex equality multiplier of X
+    player i, and nu[i] the nonnegativity multipliers of X player i's
+    actions.  mu and nu are lists with one vector per player.
     """
 
-    mu: np.ndarray
+    mu: list
     lam: np.ndarray
-    nu: np.ndarray
+    nu: list
 
 
 @dataclass
@@ -141,19 +136,13 @@ class KKTSearchResult:
     certificate: MultiplierCertificate
 
 
-def _pad_matrix(mat: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Duplicate the last row/column up to the requested shape."""
-    r_idx = np.minimum(np.arange(rows), mat.shape[0] - 1)
-    c_idx = np.minimum(np.arange(cols), mat.shape[1] - 1)
-    return mat[np.ix_(r_idx, c_idx)]
-
-
 def build_dual_program(game: PolymatrixGame, structure: TwoTeamStructure) -> DualMinProgram:
     """Transcribe a validated independent-adversary game into the dual form.
 
     Rejects games with adversary-adversary edges: without independence the
     inner maximum does not separate per adversary and the elimination is
-    unsound.
+    unsound.  The matrices are C-contiguous copies, so that ``@`` rounds
+    alike whichever way the game stores an edge.
     """
     report = validate_two_team(game, structure)
     if not report.passed:
@@ -170,31 +159,17 @@ def build_dual_program(game: PolymatrixGame, structure: TwoTeamStructure) -> Dua
     ys = tuple(structure.team_y)
     if not xs:
         raise SolverError("build_dual_program: team X is empty")
-    m = max(game.strategy_counts[p] for p in xs + ys)
-
-    coord = {}
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            if game.has_edge(xs[a], xs[b]):
-                coord[(a, b)] = _pad_matrix(game.payoff(xs[a], xs[b]), m, m)
+    coord = {
+        (a, b): np.ascontiguousarray(game.payoff(xs[a], xs[b]))
+        for a in range(len(xs))
+        for b in range(a + 1, len(xs))
+        if game.has_edge(xs[a], xs[b])
+    }
     cross = [
-        [
-            _pad_matrix(game.payoff(ys[j], xs[i]), m, m) if game.has_edge(ys[j], xs[i]) else None
-            for i in range(len(xs))
-        ]
-        for j in range(len(ys))
+        [np.ascontiguousarray(game.payoff(y, x)) if game.has_edge(y, x) else None for x in xs]
+        for y in ys
     ]
-
-    return DualMinProgram(
-        game=game,
-        structure=structure,
-        xs=xs,
-        ys=ys,
-        m=m,
-        coord=coord,
-        cross=cross,
-        orig_counts={p: game.strategy_counts[p] for p in xs + ys},
-    )
+    return DualMinProgram(game=game, xs=xs, ys=ys, coord=coord, cross=cross)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -212,50 +187,41 @@ def _multiplier_system(prog: DualMinProgram, x: list, band: float):
 
     mu is supported on the adversary constraints within ``band`` of tight,
     nu on the coordinates within ``band`` of zero, and lambda is free.
-    Returns (stat, b, eq, bounds, unpack): row a*m + k of ``stat`` times
-    the multipliers plus b[a*m + k] is coordinate (a, k)'s stationarity, each
-    row of ``eq`` sums one adversary's mu (to 1), ``bounds`` are the
-    variables' LP bounds, and ``unpack`` maps a solution vector to
-    (mu, lam, nu) arrays.
+    Returns (stat, b, eq, bounds, unpack): X player a has the rows from
+    offset o_a = len(x[0]) + ... + len(x[a-1]) on, and row o_a + k of
+    ``stat`` times the multipliers plus b[o_a + k] is coordinate (a, k)'s
+    stationarity; each row of ``eq`` sums one adversary's mu (to 1),
+    ``bounds`` are the variables' LP bounds, and ``unpack`` maps a
+    solution vector to (mu, lam, nu).
     """
-    nx, ny, m = len(prog.xs), len(prog.ys), prog.m
-    c = prog.adversary_payoffs(x)
-    gam = c.max(axis=1) if ny else np.zeros(0)
-    acts = [np.nonzero(gam[j] - c[j] <= band)[0] for j in range(ny)]
-    zeros = [np.nonzero(x[a] <= band)[0] for a in range(nx)]
-
-    mu_slots = [(j, int(k)) for j in range(ny) for k in acts[j]]
-    nu_slots = [(a, int(k)) for a in range(nx) for k in zeros[a]]
+    nx, ny = len(prog.xs), len(prog.ys)
+    offsets = np.concatenate([[0], np.cumsum([len(s) for s in x])])
+    mu_slots = [(j, int(k)) for j, c in enumerate(prog.adversary_payoffs(x))
+                for k in np.flatnonzero(c.max() - c <= band)]
+    nu_slots = [(a, int(k)) for a, s in enumerate(x) for k in np.flatnonzero(s <= band)]
     n_mu = len(mu_slots)
     nvars = n_mu + nx + len(nu_slots)
-    mu_at = {slot: s for s, slot in enumerate(mu_slots)}
-    nu_at = {slot: n_mu + nx + s for s, slot in enumerate(nu_slots)}
 
-    stat = np.zeros((nx * m, nvars))
-    for a in range(nx):
-        for k in range(m):
-            coef = stat[a * m + k]
-            for j in range(ny):
-                mat = prog.cross[j][a]
-                if mat is None:
-                    continue
-                for kk in acts[j]:
-                    coef[mu_at[(j, int(kk))]] += mat[int(kk), k]
-            coef[n_mu + a] += 1.0
-            if (a, k) in nu_at:
-                coef[nu_at[(a, k)]] -= 1.0
+    stat = np.zeros((offsets[-1], nvars))
     eq = np.zeros((ny, nvars))
-    for (j, k), col in mu_at.items():
+    for col, (j, k) in enumerate(mu_slots):
+        for a, mat in enumerate(prog.cross[j]):
+            if mat is not None:
+                stat[offsets[a] : offsets[a + 1], col] = mat[k]
         eq[j, col] = 1.0
+    for a in range(nx):
+        stat[offsets[a] : offsets[a + 1], n_mu + a] = 1.0
+    for col, (a, k) in enumerate(nu_slots, start=n_mu + nx):
+        stat[offsets[a] + k, col] = -1.0
     bounds = [(0.0, None)] * n_mu + [(None, None)] * nx + [(0.0, None)] * len(nu_slots)
 
     def unpack(z: np.ndarray):
-        mu = np.zeros((ny, m))
-        for (j, k), col in mu_at.items():
-            mu[j, k] = max(z[col], 0.0)
-        nu = np.zeros((nx, m))
-        for (a, k), col in nu_at.items():
-            nu[a, k] = max(z[col], 0.0)
+        mu = [np.zeros(prog.game.strategy_counts[p]) for p in prog.ys]
+        for col, (j, k) in enumerate(mu_slots):
+            mu[j][k] = max(z[col], 0.0)
+        nu = [np.zeros(len(s)) for s in x]
+        for col, (a, k) in enumerate(nu_slots, start=n_mu + nx):
+            nu[a][k] = max(z[col], 0.0)
         return mu, np.array(z[n_mu : n_mu + nx]), nu
 
     return stat, np.concatenate(prog.linear_part(x)), eq, bounds, unpack
@@ -425,6 +391,15 @@ def _lemke_paths(M: np.ndarray, q: np.ndarray, covers: np.ndarray, max_pivots: i
     return list(zip(solutions, z0_values))
 
 
+def _strategies(z: np.ndarray, offsets, players) -> list:
+    """Each player's block of z, clipped at 0 and scaled to sum to 1."""
+    out = []
+    for p in players:
+        s = np.maximum(z[offsets[p] : offsets[p + 1]], 0.0)
+        out.append(s / s.sum())
+    return out
+
+
 def _basis_certificate(prog: DualMinProgram, w, z, offsets, shift: float) -> MultiplierCertificate:
     """(mu, lambda, nu) read off a solution (w, z) of ``_game_lcp``'s LCP.
 
@@ -433,20 +408,14 @@ def _basis_certificate(prog: DualMinProgram, w, z, offsets, shift: float) -> Mul
     b_a + sum_j A^{y_j,x_a}^T mu_j + lambda_a with mu_j adversary j's
     strategy and lambda_a = shift * P - u_a.  So nu_a is that block:
     stationarity holds by construction, and complementarity is the LCP's
-    own.  Padded coordinates duplicate the last real action, so their nu
-    copies its slack.
+    own.
     """
     u = z[offsets[-1] :]
-    mu = np.zeros((len(prog.ys), prog.m))
-    for j, p in enumerate(prog.ys):
-        s = np.maximum(z[offsets[p] : offsets[p + 1]], 0.0)
-        mu[j, : len(s)] = s / s.sum()
-    lam = shift * prog.game.num_players - u[list(prog.xs)]
-    nu = np.zeros((len(prog.xs), prog.m))
-    for a, p in enumerate(prog.xs):
-        slack = np.maximum(w[offsets[p] : offsets[p + 1]], 0.0)
-        nu[a] = slack[np.minimum(np.arange(prog.m), len(slack) - 1)]
-    return MultiplierCertificate(mu=mu, lam=lam, nu=nu)
+    return MultiplierCertificate(
+        mu=_strategies(z, offsets, prog.ys),
+        lam=shift * prog.game.num_players - u[list(prog.xs)],
+        nu=[np.maximum(w[offsets[p] : offsets[p + 1]], 0.0) for p in prog.xs],
+    )
 
 
 def find_kkt_point(
@@ -466,13 +435,14 @@ def find_kkt_point(
     ``num_starts - 1`` are drawn from ``seed``.  The paths pivot in
     lockstep in one stacked tableau (``_lemke_paths``), each exactly as
     it would alone.  Different covering vectors can end at different
-    equilibria; the one with the lowest objective wins.  ``max_iter`` caps the pivots of each path, and
-    ``iterations`` counts the pivots of all paths.  The winner's
-    ``certificate`` (mu, lambda, nu) is read off its final basis, its
-    ``residual`` is that certificate's ``certificate_violation``, and
-    ``converged`` is ``residual <= tol``.  When ``trace`` is a list it
-    receives one (pivot, z0, path) row per pivot.  Raises
-    NonConvergenceError when no path ends within ``max_iter`` pivots.
+    equilibria; the one with the lowest objective wins.  ``max_iter``
+    caps the pivots of each path, and ``iterations`` counts the pivots
+    of all paths.  The winner's ``certificate`` (mu, lambda, nu) is read
+    off its final basis, its ``residual`` is that certificate's
+    ``certificate_violation``, and ``converged`` is ``residual <= tol``.
+    When ``trace`` is a list it receives one (pivot, z0, path) row per
+    pivot.  Raises NonConvergenceError when no path ends within
+    ``max_iter`` pivots.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -488,11 +458,7 @@ def find_kkt_point(
         pivots += len(z0_values)
         if solution is None:
             continue
-        z = solution[1]
-        x = []
-        for p in prog.xs:
-            s = np.maximum(z[offsets[p] : offsets[p + 1]], 0.0)
-            x.append(np.concatenate([s / s.sum(), np.zeros(prog.m - len(s))]))
+        x = _strategies(solution[1], offsets, prog.xs)
         value = prog.objective(x)
         if best is None or value < best[0]:
             best = (value, x, solution)
@@ -551,49 +517,31 @@ def certificate_violation(
     prog: DualMinProgram, x: list, gamma: np.ndarray, cert: MultiplierCertificate
 ) -> float:
     """Worst violation of the three multiplier conditions (for checking)."""
-    nx, ny, m = len(prog.xs), len(prog.ys), prog.m
     worst = 0.0
     b = prog.linear_part(x)
-    for a in range(nx):
+    for a in range(len(prog.xs)):
         r = b[a].copy()
-        for j in range(ny):
+        for j, mu in enumerate(cert.mu):
             mat = prog.cross[j][a]
             if mat is not None:
-                r += mat.T @ cert.mu[j]
+                r += mat.T @ mu
         r += cert.lam[a]
         r -= cert.nu[a]
         worst = max(worst, float(np.abs(r).max()))
-        for k in range(m):
-            if cert.nu[a, k] > ACTIVITY_THRESHOLD:
-                worst = max(worst, float(x[a][k]))
-    c = prog.adversary_payoffs(x)
-    for j in range(ny):
-        worst = max(worst, abs(float(cert.mu[j].sum()) - 1.0))
-        for k in range(m):
-            if cert.mu[j, k] > ACTIVITY_THRESHOLD:
-                worst = max(worst, abs(float(gamma[j] - c[j, k])))
+        worst = max(worst, float(x[a][cert.nu[a] > ACTIVITY_THRESHOLD].max(initial=0.0)))
+    for j, c in enumerate(prog.adversary_payoffs(x)):
+        mu = cert.mu[j]
+        worst = max(worst, abs(float(mu.sum()) - 1.0))
+        gaps = np.abs(gamma[j] - c[mu > ACTIVITY_THRESHOLD])
+        worst = max(worst, float(gaps.max(initial=0.0)))
     return worst
 
 
-def _fold_padding(vec: np.ndarray, m_orig: int) -> np.ndarray:
-    if len(vec) == m_orig:
-        return vec
-    out = vec[:m_orig].copy()
-    out[m_orig - 1] += vec[m_orig:].sum()
-    return out
-
-
 def reconstruct_nash(prog: DualMinProgram, x: list, cert: MultiplierCertificate) -> StrategyProfile:
-    """Assemble the full profile: X players play x, adversary j plays mu_j.
-
-    Padded duplicate actions (identical payoffs) fold their mass back onto
-    the original last action.
-    """
+    """Assemble the full profile: X players play x, adversary j plays mu_j."""
     out = [None] * prog.game.num_players
-    for a, pid in enumerate(prog.xs):
-        out[pid] = _fold_padding(x[a], prog.orig_counts[pid])
-    for j, pid in enumerate(prog.ys):
-        out[pid] = _fold_padding(cert.mu[j], prog.orig_counts[pid])
+    for pid, s in zip(prog.xs + prog.ys, list(x) + list(cert.mu)):
+        out[pid] = s
     return StrategyProfile(out)
 
 

@@ -101,21 +101,34 @@ def test_solve_rejects_non_independent(tmp_path):
     assert run("solve", "--game", str(g), "--epsilon", "1e-4") == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("flaw", ["no independent flag", "coordination mismatch"])
+MALFORMED_TEAMS = {
+    "teams without x": {"y": [1]},
+    "teams as a list": [0, 1],
+    "teams x not a list": {"x": 0, "y": [1]},
+}
+
+
+@pytest.mark.parametrize("flaw", ["no independent flag", "coordination mismatch",
+                                  *MALFORMED_TEAMS])
 def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
     g = tmp_path / "g.json"
     flags = [] if flaw == "no independent flag" else ["--independent"]
     run("gen", "--kind", "two-team", "--nx", "2", "--ny", "2", "--m", "2",
         "--seed", "2", "--out", str(g), *flags)
+    data = read(g)
     if flaw == "coordination mismatch":
-        data = read(g)
         data["edges"][0]["a_ij"][0][0] += 1.0  # edge 0 joins two team-X players
-        g.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run("oracle", "--task", "minimax", "--game", str(g), "--grid", "4") == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    if flaw in MALFORMED_TEAMS:
+        data["teams"] = MALFORMED_TEAMS[flaw]
+    g.write_text(json.dumps(data))
+    # ``solve`` refuses the same games, with the same exit code.
+    for argv in (("oracle", "--task", "minimax", "--game", str(g), "--grid", "4"),
+                 ("solve", "--game", str(g), "--epsilon", "1e-4")):
+        capsys.readouterr()
+        assert run(*argv) == cli.EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), argv
+        assert "Traceback" not in err, argv
 
 
 def test_solve_non_convergence_exits_3(tmp_path, capsys, monkeypatch):

@@ -171,61 +171,77 @@ def test_extract_multipliers_no_edges_returns_vertex():
     assert cert.mu[0].max() == pytest.approx(1.0, abs=1e-9)
 
 
+def _assert_passes_general_kkt_verifier(prog, res, cert):
+    # Assemble the dual program as min f(z) s.t. Az <= b over z = (x, gamma),
+    # X player a's coordinates from offset o[a] on, and check Def-style
+    # conditions with the certificate's multipliers.
+    nx, ny = len(prog.xs), len(prog.ys)
+    o = np.concatenate([[0], np.cumsum([len(s) for s in res.x])])
+    nz = o[-1] + ny
+    cross_quad = np.zeros((nz, nz))
+    for (a, b), mat in prog.coord.items():
+        cross_quad[o[a] : o[a + 1], o[b] : o[b + 1]] -= mat
+    linear = np.zeros(nz)
+    linear[o[-1] :] = 1.0
+    objective = QuadraticInstance(
+        n=nz, constant=0.0, linear=linear, cross=cross_quad,
+        square=np.zeros(nz), epsilon=1.0,
+    )
+
+    rows, rhs, mults = [], [], []
+    for j in range(ny):
+        for k, mult in enumerate(cert.mu[j]):
+            row = np.zeros(nz)
+            for i, mat in enumerate(prog.cross[j]):
+                if mat is not None:
+                    row[o[i] : o[i + 1]] += mat[k, :]
+            row[o[-1] + j] -= 1.0
+            rows.append(row)
+            rhs.append(0.0)
+            mults.append(mult)
+    for a in range(nx):
+        for sign in (1.0, -1.0):
+            row = np.zeros(nz)
+            row[o[a] : o[a + 1]] = sign
+            rows.append(row)
+            rhs.append(sign)
+            mults.append(max(sign * cert.lam[a], 0.0))
+    for a in range(nx):
+        for k, mult in enumerate(cert.nu[a]):
+            row = np.zeros(nz)
+            row[o[a] + k] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+            mults.append(mult)
+
+    z = np.concatenate(list(res.x) + [res.gamma])
+    report = verify_general_kkt(objective, np.array(rows), np.array(rhs), z,
+                                np.array(mults), 1e-6)
+    assert report.passed, report.max_violation
+
+
 def test_certificate_passes_general_kkt_verifier():
-    # Assemble the dual program as min f(z) s.t. Az <= b over z = (x, gamma)
-    # and check Def-style conditions with the extracted multipliers.
     rng = np.random.default_rng(1)
     for trial in range(5):
         g, s = random_independent_game(rng, 2, 2, 2)
         prog = build_dual_program(g, s)
         res = find_kkt_point(prog, tol=1e-9, seed=trial)
         assert res.converged
-        cert = extract_multipliers(prog, res.x, res.gamma)
-
-        nx, ny, m = len(prog.xs), len(prog.ys), prog.m
-        nz = nx * m + ny
-        cross_quad = np.zeros((nz, nz))
-        for (a, b), mat in prog.coord.items():
-            cross_quad[a * m : a * m + m, b * m : b * m + m] -= mat
-        linear = np.zeros(nz)
-        linear[nx * m :] = 1.0
-        objective = QuadraticInstance(
-            n=nz, constant=0.0, linear=linear, cross=cross_quad,
-            square=np.zeros(nz), epsilon=1.0,
-        )
-
-        rows, rhs = [], []
-        mults = []
-        for j in range(ny):
-            for k in range(m):
-                row = np.zeros(nz)
-                for i in range(nx):
-                    mat = prog.cross[j][i]
-                    if mat is not None:
-                        row[i * m : i * m + m] += mat[k, :]
-                row[nx * m + j] -= 1.0
-                rows.append(row)
-                rhs.append(0.0)
-                mults.append(cert.mu[j, k])
-        for a in range(nx):
-            for sign in (1.0, -1.0):
-                row = np.zeros(nz)
-                row[a * m : a * m + m] = sign
-                rows.append(row)
-                rhs.append(sign)
-                mults.append(max(sign * cert.lam[a], 0.0))
-        for a in range(nx):
-            for k in range(m):
-                row = np.zeros(nz)
-                row[a * m + k] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-                mults.append(cert.nu[a, k])
-
-        z = np.concatenate([np.concatenate(res.x), res.gamma])
-        report = verify_general_kkt(objective, np.array(rows), np.array(rhs), z,
-                                    np.array(mults), 1e-6)
-        assert report.passed, report.max_violation
+        _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x, res.gamma))
+    # Unequal action counts: both the basis certificate and the LP's.
+    rng = np.random.default_rng(403)
+    unequal = 0
+    for trial in range(8):
+        g, s = degenerate_independent_game(rng)
+        if len(set(g.strategy_counts)) == 1:
+            continue
+        unequal += 1
+        prog = build_dual_program(g, s)
+        res = find_kkt_point(prog, tol=1e-9, seed=trial)
+        assert res.converged, trial
+        _assert_passes_general_kkt_verifier(prog, res, res.certificate)
+        _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x, res.gamma))
+    assert unequal >= 5
 
 
 def test_solve_matching_pennies():
@@ -247,7 +263,8 @@ def test_solve_random_games():
 
 
 def test_solve_handles_unequal_strategy_counts():
-    # Padding with duplicated last actions, then folding the mass back.
+    # Every player keeps its own action count, in the certificate and in
+    # the profile, which plays x and mu as they are.
     rng = np.random.default_rng(4)
     g = PolymatrixGame([2, 3, 2])
     a01 = rng.uniform(-1, 1, (2, 3))
@@ -260,6 +277,16 @@ def test_solve_handles_unequal_strategy_counts():
     profile, report = solve(g, s, epsilon=1e-5, seed=0)
     assert report.passed
     assert [len(v) for v in profile.strategies] == [2, 3, 2]
+    prog = build_dual_program(g, s)
+    res = find_kkt_point(prog, seed=0)
+    cert = res.certificate
+    assert [len(v) for v in res.x] == [2, 3]
+    assert [len(v) for v in cert.nu] == [2, 3]
+    assert [len(v) for v in cert.mu] == [2]
+    assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-9
+    played = reconstruct_nash(prog, res.x, cert).strategies
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(played, list(res.x) + cert.mu))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(played, profile.strategies))
 
 
 def test_solve_deterministic_under_seed():

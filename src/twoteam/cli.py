@@ -33,8 +33,7 @@ class UsageError(ValueError):
 def _write_json(path: str, payload: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 

@@ -345,11 +345,13 @@ def game_from_dict(data: dict):
         structure = None
         if "teams" in data:
             t = data["teams"]
-            structure = TwoTeamStructure(
-                team_x=tuple(t["x"]),
-                team_y=tuple(t["y"]),
-                independent_adversaries=bool(t.get("independent", False)),
-            )
+            team_x, team_y = tuple(t["x"]), tuple(t["y"])
+            independent = t.get("independent", False)
+            if not isinstance(independent, bool):
+                raise StructuralError(
+                    f"malformed game data: teams.independent must be true or false, got {independent!r}"
+                )
+            structure = TwoTeamStructure(team_x, team_y, independent_adversaries=independent)
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed game data: {exc}") from exc
     if structure is not None:

@@ -4,32 +4,27 @@ Grid searches over product-of-simplices profiles and box lattices, central
 finite differences, and LP vertex enumeration.  These routines recompute
 everything from raw payoff matrices and coefficient tables so they share no
 algorithmic path with the solvers they are used to check.  Budget guards
-are hard errors: a truncated oracle is worse than none.
+are hard errors, checked on ``simplex_grid_size`` products before any grid
+is built: a truncated oracle is worse than none.
 
-The regret, KKT-lattice and minimax scans walk their lattices with
+The regret, KKT-lattice and minimax scans walk their lattices in
 ``_prefix_tiles``: only the digits of the axes before the last (the
-prefix) are decoded, and the last axis is a broadcast block, so
-per-prefix terms are computed once per prefix and combined with
-precomputed last-axis rows.  Per-prefix rows are gathered with ``take``.
-Terms that do not depend on the block stay per prefix row: the regret
-of a player with no edge to the last player, and the KKT-lattice bounds
-on the gradient, one pair per digit.  Each call of a scan owns one
-workspace of tile-sized buffers, allocated in the call and replaced only
-when the tile shape changes; every outer sum, product, maximum and mask
-is written into it in place, so the only tile-sized arrays a tile
-allocates are those the scan hands back.  The in-place forms do the
-same float operations on the same operands as fresh arrays would
-(addition commutes exactly, and a maximum of finite values does not
-depend on order), so the results are byte-identical to them.  The
-regret scan's digits come out column-major, one run per player.  The
-stage-1 scan instead counts KKT cells in one small table per index.  No
-scan calls the point-wise verifiers; small KKT lattices take the same
-vectorized path as large ones.  Budget guards compare lattice sizes from
-``simplex_grid_size`` before any grid is built.
+prefix) are decoded, and the last axis is a block, so per-prefix terms are
+computed once per prefix row.  The regret and minimax scans write every
+action's value on a tile as a row per prefix times a column per block, and
+``_max_product`` takes one matrix product per player (or adversary) and a
+running maximum over actions; no outer sum is built.  The products round
+differently from sums taken term by term, by about 1e-16, so these scans
+agree with the definitional verifiers to 1e-12 rather than bit for bit.
+The KKT-lattice scan bounds each coordinate's gradient per digit, and the
+stage-1 scan counts KKT cells in one small table per index; both are
+exact.  Each scan call owns its tile-sized workspaces, replaced only when
+the tile shape changes.  No scan calls the point-wise verifiers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,12 +39,11 @@ from .instances import verify_min_kkt, verify_minmax_kkt  # noqa: F401
 from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 DEFAULT_BUDGET = 10_000_000
-# Points per scan tile.  Each scan call allocates its tile buffers of up to
-# 2^15 doubles (256 KiB) once and reuses them for every tile and every
-# per-player pass.  On a 2-vCPU host, in 10 alternating runs of the
-# benchmark's oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%,
-# 10/10) and on peak RSS (-10%) with the tail latency flat; tiles of 2^20
-# ran the mix about 25% slower than 2^16.
+# Points per scan tile.  Each scan call allocates its tile buffers once per
+# tile shape.  On a 2-vCPU host, in 10 alternating runs of the benchmark's
+# oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%, 10/10) and
+# on peak RSS (-10%) with the tail latency flat; tiles of 2^20 ran the mix
+# about 25% slower than 2^16.
 _CHUNK = 1 << 15
 
 
@@ -78,6 +72,12 @@ class GridSpec:
     @property
     def resolution(self) -> float:
         return 1.0 / self.k
+
+
+def _check_budget(total: int, budget) -> None:
+    budget = DEFAULT_BUDGET if budget is None else int(budget)
+    if total > budget:
+        raise GridBudgetError(required=total, budget=budget)
 
 
 def _grid_k(grid) -> int:
@@ -144,76 +144,84 @@ def _prefix_tiles(sizes):
             yield prefix, lo, min(lo + block, last)
 
 
+def _max_product(L, R, prod, out):
+    """Write the maximum over actions a of ``L[:, a].T @ R`` into ``out``.
+
+    ``L`` is (K, m, T), action a's T rows of width K stored column-major so
+    that they are built along T; ``R`` is (K, B); ``prod`` is a workspace
+    of B columns and at least m * T rows.  One matmul covers all m * T rows
+    (BLAS reads the F-ordered view without a copy), then a running maximum
+    takes m slabs.
+    """
+    width, m, rows = L.shape
+    slabs = np.matmul(L.reshape(width, m * rows).T, R, out=prod[: m * rows]).reshape(m, rows, -1)
+    np.maximum(slabs[0], slabs[-1], out=out)
+    for slab in slabs[1:-1]:
+        np.maximum(out, slab, out=out)
+    return out
+
+
 def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
     """Yield (digits, max_regret) chunks over every grid profile.
 
-    ``digits[:, i]`` indexes player i's simplex grid; regret math is done
-    from the payoff matrices directly.  Iteration order is lexicographic in
-    the digit tuples, and a chunk is one ``_prefix_tiles`` tile.  A chunk's
-    ``digits`` is a fresh int64 array in column-major (Fortran) order: each
-    player's column is filled as one run.  Its ``max_regret`` is fresh too,
-    so a caller may keep every chunk.
+    ``digits[:, i]`` indexes player i's simplex grid.  Chunks come in
+    lexicographic order of the digit tuples, one per ``_prefix_tiles``
+    tile.  A chunk's ``digits`` is a fresh int64 array in column-major
+    order (each player's column is filled as one run) and its
+    ``max_regret`` is fresh too, so a caller may keep every chunk.
 
-    Per tile, player i's payoff vector is ``pre + tail``: ``pre`` sums its
-    rows from the prefix players, ``tail`` is its row from the last player's
-    block (none for the last player itself).  The best reply is a running
-    maximum over actions and the achieved payoff is ``x . pre + x . tail``,
-    so no (points x actions) array is built.  The tile's maximum starts as
-    the last player's regret; each prefix player with an edge to the last
-    player is folded in from the call's workspace.  A prefix player without
-    that edge has no ``tail``: its regret is constant along the block, so
-    it is computed once per prefix row, and the row maxima (at least 0)
-    are folded in last by one broadcast maximum.
+    Player i's payoffs at a point are ``v = pre + tail``: ``pre`` sums its
+    columns from the prefix players, ``tail`` is its column from the last
+    player (none for the last player itself).  ``v_a - x . v`` is the row
+    ``[pre_a - x . pre, e_a - x]`` times ``[1; tail]``, so one
+    ``_max_product`` per player gives its regret on the tile; the last
+    player's is the row ``[max_a pre_a, pre]`` times ``[1; -x_last]``.  A
+    prefix player without an edge to the last player has a regret constant
+    along the block, taken once per prefix row.  At a pure profile the
+    played action's row is exactly zero, so a pure Nash profile scans to
+    exactly 0.0.
     """
     k = _grid_k(grid)
-    budget = DEFAULT_BUDGET if budget is None else int(budget)
     counts = game.strategy_counts
     sizes = [simplex_grid_size(m, k) for m in counts]
-    total = math.prod(sizes)
-    if total > budget:
-        raise GridBudgetError(required=total, budget=budget)
-    grids = [simplex_grid(m, k) for m in counts]
+    _check_budget(math.prod(sizes), budget)
+    grids = [np.ascontiguousarray(simplex_grid(m, k).T) for m in counts]
 
     last = game.num_players - 1
-    # W[i][j][d] = payoff contribution to player i when j plays grid row d.
-    # tails[i] holds a prefix player's rows from the last player, stored
-    # action-major; players without that edge have none.
-    W = {i: {j: grids[j] @ game.payoff(i, j).T for j in game.neighbors(i) if j != last}
+    # W[i][j][:, d] = payoff contribution to player i when j plays grid
+    # point d.  R[i] stacks a ones row on a prefix player's columns from
+    # the last player; players without that edge have none.
+    W = {i: {j: game.payoff(i, j) @ grids[j] for j in game.neighbors(i) if j != last}
          for i in range(last + 1)}
-    tails = {i: np.ascontiguousarray((grids[last] @ game.payoff(i, last).T).T)
-             for i in range(last) if game.has_edge(i, last)}
+    R = {i: np.vstack([np.ones(sizes[last]), game.payoff(i, last) @ grids[last]])
+         for i in range(last) if game.has_edge(i, last)}
+    R_last = np.vstack([np.ones(sizes[last]), -grids[last]])
+    widest = max([counts[i] for i in R], default=1)
 
     def payoff_rows(i, prefix):
-        pre = np.zeros((len(prefix), counts[i]))
-        for j, rows in W[i].items():
-            pre += rows.take(prefix[:, j], axis=0)
+        pre = np.zeros((counts[i], len(prefix)))
+        for j, cols in W[i].items():
+            pre += cols.take(prefix[:, j], axis=1)
         return pre
 
     shape = None
     for prefix, lo, hi in _prefix_tiles(sizes):
         if shape != (len(prefix), hi - lo):
             shape = (len(prefix), hi - lo)
-            regret, term, achieved = np.empty((3,) + shape)
+            regret, prod = np.empty(shape), np.empty((widest * shape[0], shape[1]))
         pre = payoff_rows(last, prefix)
-        max_regret = pre @ grids[last][lo:hi].T
-        np.subtract(pre.max(axis=1)[:, None], max_regret, out=max_regret)
-        for i, rows in tails.items():
-            pre, x, tail = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=0), rows[:, lo:hi]
-            regret[:] = tail[0]
-            regret += pre[:, :1]
-            for a in range(1, counts[i]):
-                term[:] = tail[a]
-                term += pre[:, a, None]
-                np.maximum(regret, term, out=regret)
-            np.matmul(x, tail, out=achieved)
-            achieved += np.einsum("ck,ck->c", x, pre)[:, None]
-            regret -= achieved
-            np.maximum(max_regret, regret, out=max_regret)
+        max_regret = np.vstack([functools.reduce(np.maximum, pre), pre]).T @ R_last[:, lo:hi]
         row_regret = np.zeros(len(prefix))
         for i in range(last):
-            if i not in tails:
-                pre, x = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=0)
-                np.maximum(row_regret, pre.max(axis=1) - np.einsum("ck,ck->c", x, pre), out=row_regret)
+            pre, x = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=1)
+            achieved = np.einsum("kc,kc->c", x, pre)
+            if i not in R:
+                np.maximum(row_regret, functools.reduce(np.maximum, pre) - achieved, out=row_regret)
+                continue
+            L = np.empty((1 + counts[i], counts[i], len(prefix)))
+            np.subtract(pre, achieved, out=L[0])
+            np.subtract(np.eye(counts[i])[:, :, None], x[:, None, :], out=L[1:])
+            np.maximum(max_regret, _max_product(L, R[i][:, lo:hi], prod, regret), out=max_regret)
         np.maximum(max_regret, row_regret[:, None], out=max_regret)
         digits = np.empty((last + 1, len(prefix), hi - lo), dtype=np.int64)
         digits[:last] = prefix.T[:, :, None]
@@ -261,10 +269,6 @@ def grid_nash_profiles(game: PolymatrixGame, grid, delta: float, budget=None, ma
 # Box-lattice KKT enumeration.
 
 
-def _box_total(dims: int, k: int) -> int:
-    return (k + 1) ** dims
-
-
 def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     """All box-lattice points passing the matching KKT verifier at epsilon.
 
@@ -285,7 +289,6 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     sum of two doubles never rounds to 0.
     """
     k = _grid_k(grid)
-    budget = DEFAULT_BUDGET if budget is None else int(budget)
     if isinstance(instance, QuadraticInstance):
         dims = instance.n
         c = instance.linear
@@ -299,9 +302,7 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
         ])
     else:
         raise TypeError(f"unsupported instance type {type(instance)!r}")
-    total = _box_total(dims, k)
-    if total > budget:
-        raise GridBudgetError(required=total, budget=budget)
+    _check_budget((k + 1) ** dims, budget)
 
     vals = np.arange(k + 1, dtype=float) / k
     # Digit d passes when low[d] <= g <= high[d].
@@ -328,8 +329,8 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
                 below, above = low[lo:hi], high[lo:hi]
             mask &= np.greater_equal(g, below, out=ok)
             mask &= np.less_equal(g, above, out=ok)
-        rows, cols = np.nonzero(mask)
-        if len(rows):
+        if mask.any():
+            rows, cols = np.nonzero(mask)
             hits.append(np.column_stack([pts[rows], tail[cols]]))
     if not hits:
         return np.empty((0, dims))
@@ -462,22 +463,14 @@ def enumerate_lp_vertices(lp: LinearProgram, guard: int = 12) -> VertexEnumerati
     reported as infeasible.
     """
     n = lp.num_vars
-    rows = []
-    rhs = []
-    for r in range(lp.ineq_matrix.shape[0]):
-        rows.append(lp.ineq_matrix[r])
-        rhs.append(lp.ineq_rhs[r])
+    rows, rhs = list(lp.ineq_matrix), list(lp.ineq_rhs)
     for i, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None:
-            e = np.zeros(n)
-            e[i] = -1.0
-            rows.append(e)
-            rhs.append(-lo)
-        if hi is not None:
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append(e)
-            rhs.append(hi)
+        for sign, bound in ((-1.0, lo), (1.0, hi)):
+            if bound is not None:
+                e = np.zeros(n)
+                e[i] = sign
+                rows.append(e)
+                rhs.append(sign * bound)
     ineq = np.array(rows).reshape(-1, n)
     ineq_rhs = np.array(rhs)
     eq = lp.eq_matrix
@@ -548,66 +541,72 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     actions separately.  Only the team-X side is gridded, and every point
     of that lattice is evaluated.
 
-    The last team-X player's simplex grid is a broadcast axis.  Only the
-    grid points of the other team-X players (the prefix) are decoded, and
-    per prefix the scan computes once its own coordination value ``base``,
-    the linear coefficient ``coef`` that its intra-team edges put on the
-    last player, and each adversary's payoff row ``A_j``.  A tile of
-    prefixes against a block ``G`` of the last player's grid then has values
-    ``base + coef @ G.T + sum_j max_k (A_j[:, None, k] + B_j[None, :, k])``,
-    where ``B_j`` holds adversary j's rows from the last player; the tiles
-    come from ``_prefix_tiles``, and ``value``, the running maximum and the
-    outer sums live in the call's workspace.
+    The last team-X player's grid is the tiles' block axis.  Per prefix
+    of the other team-X players, the scan computes their coordination value
+    ``base``, the coefficient ``coef`` that their intra-team edges put on
+    the last player, and each adversary's payoff column ``A_j``.  A point
+    with last-player strategy g then has value ``base + coef . g + sum_j
+    max_k (A_jk + B_j[k] . g)``, ``B_j`` being adversary j's payoffs from
+    the last player.  That is one ``_max_product`` per adversary: action
+    k's row is ``[A_jk + base, coef, e_k]`` against ``[1; g; B_j]`` for
+    the first adversary and ``[A_jk, e_k]`` against ``[1; B_j]`` for the
+    rest.  A team without adversaries faces one with a single action and
+    no payoffs.
     """
-    report = validate_two_team(game, structure)
-    if not report.passed or not structure.independent_adversaries:
+    if not validate_two_team(game, structure).passed or not structure.independent_adversaries:
         raise ValueError("requires a validated game with independent adversaries")
     k = _grid_k(grid)
-    budget = DEFAULT_BUDGET if budget is None else int(budget)
+    counts = game.strategy_counts
     xs = list(structure.team_x)
-    ys = list(structure.team_y)
-    sizes = [simplex_grid_size(game.strategy_counts[i], k) for i in xs]
-    total = math.prod(sizes)
-    if total > budget:
-        raise GridBudgetError(required=total, budget=budget)
-    grids = [simplex_grid(game.strategy_counts[i], k) for i in xs]
+    sizes = [simplex_grid_size(counts[i], k) for i in xs]
+    _check_budget(math.prod(sizes), budget)
+    grids = [np.ascontiguousarray(simplex_grid(counts[i], k).T) for i in xs]
 
     last = len(xs) - 1
-    # Adversary j's payoff row contributions per x-player grid row, zero
-    # where an edge is absent; the last player's are stored action-major.
-    W = {j: [grids[t] @ game.payoff(j, xs[t]).T for t in range(last)] for j in ys}
-    B = {j: np.ascontiguousarray((grids[last] @ game.payoff(j, xs[last]).T).T) for j in ys}
+    m_last = counts[xs[last]]
+    # Adversary j's payoff columns per x-player grid point, zero where an
+    # edge is absent.  R[j] stacks the last player's: a ones row, the grid
+    # itself for the first adversary, then adversary j's columns.
+    ys = {j: counts[j] for j in structure.team_y} or {None: 1}
+    first = next(iter(ys))
+    W, R = {}, {}
+    for j, m in ys.items():
+        cols = [game.payoff(j, xs[t]) @ grids[t] if j is not None else np.zeros((m, sizes[t]))
+                for t in range(last + 1)]
+        W[j] = cols[:last]
+        R[j] = np.vstack([np.ones((1, sizes[last]))] + ([grids[last]] if j == first else []) + cols[last:])
     pairs = [(a, b) for a in range(len(xs)) for b in range(a + 1, len(xs))
              if game.has_edge(xs[a], xs[b])]
-    P = {(a, b): grids[a] @ game.payoff(xs[a], xs[b]) for (a, b) in pairs}
+    P = {(a, b): game.payoff(xs[a], xs[b]).T @ grids[a] for (a, b) in pairs}
 
     best = np.inf
     shape = None
     for digits, lo, hi in _prefix_tiles(sizes):
         if shape != (len(digits), hi - lo):
             shape = (len(digits), hi - lo)
-            value, best_j, term = np.empty((3,) + shape)
-        base = np.zeros(len(digits))
-        coef = np.zeros((len(digits), game.strategy_counts[xs[last]]))
+            value, best_j = np.empty((2,) + shape)
+            prod = np.empty((max(ys.values()) * shape[0], shape[1]))
+            L = {}
+            for j, m in ys.items():
+                lead = 1 + m_last * (j == first)
+                L[j] = np.zeros((lead + m, m, shape[0]))
+                L[j][lead:] = np.eye(m)[:, :, None]
+        base, coef = np.zeros(len(digits)), np.zeros((m_last, len(digits)))
         for (a, b) in pairs:
             if b == last:
-                coef -= P[(a, b)].take(digits[:, a], axis=0)
+                coef -= P[(a, b)].take(digits[:, a], axis=1)
             else:
-                base -= np.einsum("ck,ck->c", P[(a, b)].take(digits[:, a], axis=0),
-                                  grids[b].take(digits[:, b], axis=0))
-        np.matmul(coef, grids[last][lo:hi].T, out=value)
-        value += base[:, None]
+                base -= np.einsum("kc,kc->c", P[(a, b)].take(digits[:, a], axis=1),
+                                  grids[b].take(digits[:, b], axis=1))
+        L[first][1:1 + m_last] = coef[:, None, :]
         for j in ys:
-            A = np.zeros((len(digits), game.strategy_counts[j]))
+            A = L[j][0]
+            A[:] = base if j == first else 0.0
             for t in range(last):
-                A += W[j][t].take(digits[:, t], axis=0)
-            rows, cols = A.T, B[j][:, lo:hi]
-            best_j[:] = cols[0]
-            best_j += rows[0][:, None]
-            for a_k, b_k in zip(rows[1:], cols[1:]):
-                term[:] = b_k
-                term += a_k[:, None]
-                np.maximum(best_j, term, out=best_j)
-            value += best_j
+                A += W[j][t].take(digits[:, t], axis=1)
+            if j == first:
+                _max_product(L[j], R[j][:, lo:hi], prod, value)
+            else:
+                value += _max_product(L[j], R[j][:, lo:hi], prod, best_j)
         best = min(best, float(value.min()))
     return best

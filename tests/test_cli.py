@@ -131,6 +131,44 @@ def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
         assert "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("flag", ["false", "no", 0, None])
+def test_independent_flag_must_be_a_json_boolean(tmp_path, capsys, flag):
+    # The game has adversary-adversary edges; a string "false" used to read
+    # as independent and fail later with a validation message instead.
+    g = tmp_path / "g.json"
+    run("gen", "--kind", "two-team", "--nx", "2", "--ny", "2", "--m", "2",
+        "--seed", "2", "--out", str(g))
+    data = read(g)
+    data["teams"]["independent"] = flag
+    g.write_text(json.dumps(data))
+    for argv in (("solve", "--game", str(g), "--epsilon", "1e-4"),
+                 ("oracle", "--task", "minimax", "--game", str(g), "--grid", "4")):
+        capsys.readouterr()
+        assert run(*argv) == cli.EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "teams.independent" in err, (argv, err)
+
+
+def test_write_json_bytes_match_json_dump(tmp_path):
+    # One write of the whole text; the bytes are those json.dump writes.
+    payload = {"b": [1.5, -0.0, 1e-300], "a": {"z": [[0.1, 2.0]], "y": True, "x": None}, "c": "é"}
+    got = tmp_path / "got.json"
+    cli._write_json(str(got), payload)
+    want = tmp_path / "want.json"
+    with open(want, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    assert got.read_bytes() == want.read_bytes()
+    q = tmp_path / "q.json"
+    run("gen", "--kind", "quadratic", "--n", "2", "--seed", "7", "--out", str(q))
+    run("reduce", "--stage", "full", "--in", str(q), "--out", str(tmp_path / "game.json"))
+    for path in (q, tmp_path / "game.json", tmp_path / "game.json.params.json"):
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(read(path), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        assert path.read_bytes() == want.read_bytes(), path
+
+
 def test_solve_non_convergence_exits_3(tmp_path, capsys, monkeypatch):
     g = tmp_path / "g.json"
     run("gen", "--kind", "two-team", "--nx", "2", "--ny", "2", "--m", "2",

@@ -146,6 +146,12 @@ REGRET_CASES = {
     # A stage-2 game's shape: adversary 2 has no edge to adversary 3, the
     # last player, so its regret is constant along the last axis.
     "stage2-shape": ([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], False, 4),
+    # Ragged counts, so every player's product has its own width.
+    "ragged-1-2-3": ([1, 2, 3], [(0, 1), (0, 2), (1, 2)], False, 4),
+    # Prefix player 1 has no edge at all; the others all meet the last player.
+    "prefix-without-edges": ([3, 2, 2, 3], [(0, 2), (0, 3), (2, 3)], False, 3),
+    # The last player (one action) meets no prefix player.
+    "last-one-action-apart": ([2, 3, 1], [(0, 1)], False, 4),
 }
 
 
@@ -176,6 +182,42 @@ def test_scan_regrets_agree_with_best_response_path(case, monkeypatch):
             regrets.extend(r)
         assert digits == want_digits
         assert np.abs(np.array(regrets) - want).max() <= 1e-12
+
+
+def pure_nash_game(counts, edges, target, rng):
+    """Uniform payoffs plus 3 on every edge's ``target`` entry, which makes
+    the pure profile ``target`` a strict Nash equilibrium of every player
+    with an edge (at least 2 per edge against at most 1 per edge)."""
+    g = PolymatrixGame(counts)
+    for a, b in edges:
+        fwd, bwd = rng.uniform(-1, 1, (counts[a], counts[b])), rng.uniform(-1, 1, (counts[b], counts[a]))
+        fwd[target[a], target[b]] += 3.0
+        bwd[target[b], target[a]] += 3.0
+        g.add_edge(a, b, fwd, bwd)
+    return g
+
+
+@pytest.mark.parametrize("case", ["stage2-shape", "ragged-1-2-3", "prefix-without-edges", "unequal-actions"])
+def test_scan_regret_of_a_pure_nash_profile_is_exactly_zero(case, monkeypatch):
+    # The played action's row of every product is exactly zero, so a pure
+    # equilibrium scans to 0.0 and not to a rounding residue; a scan that
+    # reports min_regret 0.0 relies on it.
+    counts, edges, _, k = REGRET_CASES[case]
+    rng = np.random.default_rng(11)
+    target = [int(rng.integers(m)) for m in counts]
+    g = pure_nash_game(counts, edges, target, rng)
+    grids = [simplex_grid(m, k) for m in counts]
+    digits = tuple(int(np.flatnonzero((grid == np.eye(m)[t]).all(axis=1))[0])
+                   for grid, m, t in zip(grids, counts, target))
+    profile = StrategyProfile([grid[d] for grid, d in zip(grids, digits)])
+    assert verify_epsilon_nash(g, profile, 0.0).max_regret == 0.0
+    for chunk in (oracle._CHUNK, 5):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        found = [r[(d == digits).all(axis=1)] for d, r in iter_profile_regrets(g, k)]
+        hit = np.concatenate(found)
+        assert hit.tolist() == [0.0]
+        _, best = grid_min_regret_profile(g, k)
+        assert best == 0.0
 
 
 def test_scan_regret_chunks_survive_later_yields(monkeypatch):
@@ -501,6 +543,14 @@ MINIMAX_CASES = {
     # Team-X player 1 has no adversary edge.
     "three-x-intra": ([3, 2, 3], [2, 2], [(0, 1), (0, 2), (1, 2)], [(0, 0), (2, 0), (2, 1)], 3),
     "three-x-no-intra": ([3, 2, 3], [2, 2], [], [(0, 0), (2, 0), (0, 1)], 3),
+    # Ragged team-X counts (1, 2, 3) against a one-action adversary.
+    "ragged-1-2-3": ([1, 2, 3], [1, 3], [(1, 2)], [(0, 1), (1, 0), (2, 0), (2, 1)], 4),
+    # Team-X player 1 has no edge at all.
+    "prefix-without-edges": ([2, 3, 2], [2], [(0, 2)], [(0, 0), (2, 0)], 4),
+    # The last team-X player meets neither the prefix nor an adversary.
+    "last-apart": ([3, 2, 2], [2, 1], [(0, 1)], [(0, 0), (1, 1)], 4),
+    # No adversaries: the value is the team's own coordination term.
+    "no-adversaries": ([2, 3], [], [(0, 1)], [], 5),
 }
 
 

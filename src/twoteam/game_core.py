@@ -35,14 +35,11 @@ class PolymatrixGame:
     falling back to a zero matrix for absent edges.
     """
 
-    def __init__(self, strategy_counts, edges=None):
+    def __init__(self, strategy_counts):
         self.strategy_counts = tuple(int(s) for s in strategy_counts)
         if not self.strategy_counts or any(s <= 0 for s in self.strategy_counts):
             raise StructuralError("strategy counts must be positive")
         self._edges: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        if edges:
-            for (i, j), (a_ij, a_ji) in edges.items():
-                self.add_edge(i, j, a_ij, a_ji)
 
     @property
     def num_players(self) -> int:
@@ -296,14 +293,11 @@ def common_utility(game: PolymatrixGame, structure: TwoTeamStructure, profile: S
         )
     profile.check_shape(game)
     in_x = set(structure.team_x)
-    in_y = set(structure.team_y)
     total = 0.0
     for (i, j) in game.edge_pairs():
-        if i in in_x and j in in_x:
+        if i in in_x:
             total -= float(profile[i] @ game.payoff(i, j) @ profile[j])
-        elif i in in_x and j in in_y:
-            total -= float(profile[i] @ game.payoff(i, j) @ profile[j])
-        elif j in in_x and i in in_y:
+        elif j in in_x:
             total -= float(profile[j] @ game.payoff(j, i) @ profile[i])
         # Y-Y edges do not enter U.
     return total

@@ -317,31 +317,25 @@ def verify_general_kkt(objective: QuadraticInstance, A, b, x, mu, tol: float) ->
     return KKTReport(residuals, max_violation, max_violation <= 0.0, tuple(classification))
 
 
-def pad_minmax(inst: MinmaxIndInstance, n_x: int | None = None, n_y: int | None = None) -> MinmaxIndInstance:
-    """Extend with zero-coefficient variables (dummy padding).
+def pad_minmax(inst: MinmaxIndInstance) -> MinmaxIndInstance:
+    """Pad the smaller side with zero-coefficient variables up to the larger.
 
     Dummy variables have identically zero gradients, so every KKT condition
-    holds vacuously for them.  Defaults pad the smaller side up to the
-    larger.
+    holds vacuously for them.
     """
-    target_x = inst.n_x if n_x is None else int(n_x)
-    target_y = inst.n_y if n_y is None else int(n_y)
-    if n_x is None and n_y is None:
-        target_x = target_y = max(inst.n_x, inst.n_y)
-    if target_x < inst.n_x or target_y < inst.n_y:
-        raise ValueError("padding cannot shrink an instance")
-    if target_x == inst.n_x and target_y == inst.n_y:
+    if inst.n_x == inst.n_y:
         return inst
-    beta = np.zeros(target_x)
+    n = max(inst.n_x, inst.n_y)
+    beta = np.zeros(n)
     beta[: inst.n_x] = inst.beta
-    gamma = np.zeros((target_x, target_x))
+    gamma = np.zeros((n, n))
     gamma[: inst.n_x, : inst.n_x] = inst.gamma
-    zeta = np.zeros(target_y)
+    zeta = np.zeros(n)
     zeta[: inst.n_y] = inst.zeta
-    theta = np.zeros((target_x, target_y))
+    theta = np.zeros((n, n))
     theta[: inst.n_x, : inst.n_y] = inst.theta
     return MinmaxIndInstance(
-        n_x=target_x, n_y=target_y, alpha=inst.alpha,
+        n_x=n, n_y=n, alpha=inst.alpha,
         beta=beta, gamma=gamma, zeta=zeta, theta=theta, epsilon=inst.epsilon,
     )
 

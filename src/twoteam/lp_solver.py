@@ -12,7 +12,7 @@ rewritten into nonnegative ones internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,9 @@ NUMERICAL_FAILURE = "numerical_failure"
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+# Pivots one solve may take over both phases; beyond it the solve reports
+# NUMERICAL_FAILURE.
+PIVOT_LIMIT = 20000
 
 
 @dataclass
@@ -78,11 +81,11 @@ class LPOutcome:
 
 
 def _transform(lp: LinearProgram):
-    """Rewrite onto nonnegative internal variables u with x = offset + S u.
+    """Rewrite onto nonnegative internal variables u with x = offsets + S u.
 
-    Returns (c_t, const, G_t, h_t, A_t, b_t, col_map) where col_map holds
-    (original var, sign) per internal column and G_t appends one extra row
-    per two-sided bound.
+    Returns (c_t, G_t, h_t, A_t, b_t, col_map, offsets) where col_map
+    holds (original var, sign) per internal column, that is the columns
+    of S, and G_t appends one extra row per two-sided bound.
     """
     n = lp.num_vars
     offsets = np.zeros(n)
@@ -124,8 +127,16 @@ def _transform(lp: LinearProgram):
     A_t = expand(lp.eq_matrix)
     b_t = lp.eq_rhs - lp.eq_matrix @ offsets
     c_t = np.array([sign * lp.objective[var] for (var, sign) in col_map])
-    const = float(lp.objective @ offsets)
-    return c_t, const, G_t, h_t, A_t, b_t, col_map, offsets
+    return c_t, G_t, h_t, A_t, b_t, col_map, offsets
+
+
+def _pivot(T, basis, row, col):
+    """Pivot the tableau on (row, col): column ``col`` enters the basis."""
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
 
 
 def _run_simplex(T, basis, costs, allowed, dead_rows, pivot_limit):
@@ -162,24 +173,20 @@ def _run_simplex(T, basis, costs, allowed, dead_rows, pivot_limit):
                 leave = r
         if leave < 0:
             return UNBOUNDED, pivots
-        pivot = T[leave, entering]
-        T[leave] /= pivot
-        for r in range(m):
-            if r != leave and T[r, entering] != 0.0:
-                T[r] -= T[r, entering] * T[leave]
-        basis[leave] = entering
+        _pivot(T, basis, leave, entering)
         pivots += 1
         if pivots > pivot_limit:
             return NUMERICAL_FAILURE, pivots
 
 
-def solve_lp(lp: LinearProgram, pivot_limit: int = 20000) -> LPOutcome:
+def solve_lp(lp: LinearProgram) -> LPOutcome:
     """Two-phase simplex; never reports a wrong "optimal".
 
-    A pivot-budget stall yields NUMERICAL_FAILURE, and any returned optimal
-    solution is re-checked for feasibility before being reported.
+    Running past ``PIVOT_LIMIT`` pivots yields NUMERICAL_FAILURE, and any
+    returned optimal solution is re-checked for feasibility before being
+    reported.
     """
-    c_t, const, G_t, h_t, A_t, b_t, col_map, offsets = _transform(lp)
+    c_t, G_t, h_t, A_t, b_t, col_map, offsets = _transform(lp)
     nu = len(col_map)
     m1, m2 = G_t.shape[0], A_t.shape[0]
     m = m1 + m2
@@ -209,7 +216,7 @@ def solve_lp(lp: LinearProgram, pivot_limit: int = 20000) -> LPOutcome:
     phase1_costs = np.zeros(ncols)
     phase1_costs[nu + m1 :] = 1.0
     allowed = list(range(nu + m1))
-    status, used = _run_simplex(T, basis, phase1_costs, allowed, dead_rows, pivot_limit)
+    status, used = _run_simplex(T, basis, phase1_costs, allowed, dead_rows, PIVOT_LIMIT)
     if status == NUMERICAL_FAILURE:
         return LPOutcome(status=NUMERICAL_FAILURE)
     if phase1_costs[basis] @ T[:, -1] > FEAS_TOL:
@@ -225,18 +232,13 @@ def solve_lp(lp: LinearProgram, pivot_limit: int = 20000) -> LPOutcome:
             if pivot_col < 0:
                 dead_rows.add(r)
                 continue
-            pivot = T[r, pivot_col]
-            T[r] /= pivot
-            for rr in range(m):
-                if rr != r and T[rr, pivot_col] != 0.0:
-                    T[rr] -= T[rr, pivot_col] * T[r]
-            basis[r] = pivot_col
+            _pivot(T, basis, r, pivot_col)
 
     # Phase 2 on the real objective (internally minimized).
     phase2_costs = np.zeros(ncols)
     phase2_costs[:nu] = -c_t
     status, _ = _run_simplex(
-        T, basis, phase2_costs, allowed, dead_rows, pivot_limit - used
+        T, basis, phase2_costs, allowed, dead_rows, PIVOT_LIMIT - used
     )
     if status == NUMERICAL_FAILURE:
         return LPOutcome(status=NUMERICAL_FAILURE)
@@ -279,7 +281,7 @@ def solve_lp(lp: LinearProgram, pivot_limit: int = 20000) -> LPOutcome:
     )
 
 
-def find_feasible(lp: LinearProgram, pivot_limit: int = 20000) -> LPOutcome:
+def find_feasible(lp: LinearProgram) -> LPOutcome:
     """Any feasible point (a vertex of the standard-form conversion) or infeasible.
 
     Pure phase-one run: the objective is replaced by zero.
@@ -292,4 +294,4 @@ def find_feasible(lp: LinearProgram, pivot_limit: int = 20000) -> LPOutcome:
         eq_rhs=lp.eq_rhs.copy() if lp.eq_rhs.size else None,
         bounds=list(lp.bounds),
     )
-    return solve_lp(probe, pivot_limit=pivot_limit)
+    return solve_lp(probe)

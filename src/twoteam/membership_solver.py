@@ -34,8 +34,12 @@ from .game_core import (
 )
 from .lp_solver import OPTIMAL, LinearProgram, find_feasible, solve_lp
 
-DEFAULT_TOL = 1e-8
+# find_kkt_point's result is ``converged`` when its certificate violation
+# is at most CERTIFICATE_TOL.
+CERTIFICATE_TOL = 1e-8
 MAX_ITER = 1_000_000
+# Covering vectors, hence Lemke paths, per find_kkt_point call.
+NUM_COVERS = 12
 ACTIVITY_THRESHOLD = 1e-7
 # Lemke's pivots: a column entry counts as positive above PIVOT_TOL times
 # the column's largest entry, and ratios within TIE_TOL (relative) tie.
@@ -182,23 +186,24 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _multiplier_system(prog: DualMinProgram, x: list, band: float):
+def _multiplier_system(prog: DualMinProgram, x: list):
     """The linear system the multipliers (mu, lambda, nu) must satisfy at x.
 
-    mu is supported on the adversary constraints within ``band`` of tight,
-    nu on the coordinates within ``band`` of zero, and lambda is free.
-    Returns (stat, b, eq, bounds, unpack): X player a has the rows from
-    offset o_a = len(x[0]) + ... + len(x[a-1]) on, and row o_a + k of
-    ``stat`` times the multipliers plus b[o_a + k] is coordinate (a, k)'s
-    stationarity; each row of ``eq`` sums one adversary's mu (to 1),
-    ``bounds`` are the variables' LP bounds, and ``unpack`` maps a
-    solution vector to (mu, lam, nu).
+    mu is supported on the adversary constraints within
+    ``ACTIVITY_THRESHOLD`` of tight, nu on the coordinates within it of
+    zero, and lambda is free.  Returns (stat, b, eq, bounds, unpack): X
+    player a has the rows from offset o_a = len(x[0]) + ... + len(x[a-1])
+    on, and row o_a + k of ``stat`` times the multipliers plus b[o_a + k]
+    is coordinate (a, k)'s stationarity; each row of ``eq`` sums one
+    adversary's mu (to 1), ``bounds`` are the variables' LP bounds, and
+    ``unpack`` maps a solution vector to (mu, lam, nu).
     """
     nx, ny = len(prog.xs), len(prog.ys)
     offsets = np.concatenate([[0], np.cumsum([len(s) for s in x])])
     mu_slots = [(j, int(k)) for j, c in enumerate(prog.adversary_payoffs(x))
-                for k in np.flatnonzero(c.max() - c <= band)]
-    nu_slots = [(a, int(k)) for a, s in enumerate(x) for k in np.flatnonzero(s <= band)]
+                for k in np.flatnonzero(c.max() - c <= ACTIVITY_THRESHOLD)]
+    nu_slots = [(a, int(k)) for a, s in enumerate(x)
+                for k in np.flatnonzero(s <= ACTIVITY_THRESHOLD)]
     n_mu = len(mu_slots)
     nvars = n_mu + nx + len(nu_slots)
 
@@ -227,15 +232,14 @@ def _multiplier_system(prog: DualMinProgram, x: list, band: float):
     return stat, np.concatenate(prog.linear_part(x)), eq, bounds, unpack
 
 
-def stationarity_residual(prog: DualMinProgram, x: list, band: float = ACTIVITY_THRESHOLD):
+def stationarity_residual(prog: DualMinProgram, x: list):
     """Def 4.2-style residual against the current active set, via a small LP.
 
     Minimizes the sup-norm t of the stationarity vector over admissible
-    multipliers (mu supported on near-tight adversary constraints, nu on
-    near-zero coordinates, lambda free).  Returns (residual, (mu, lam, nu))
-    or (inf, None) when the LP solver stalls.
+    multipliers (``_multiplier_system``'s supports, lambda free).  Returns
+    (residual, (mu, lam, nu)) or (inf, None) when the LP solver stalls.
     """
-    stat, b, eq, bounds, unpack = _multiplier_system(prog, x, band)
+    stat, b, eq, bounds, unpack = _multiplier_system(prog, x)
     # b + stat.z in [-t, t], over the variables (t, z).
     t_col = -np.ones((2 * len(b), 1))
     rows = np.hstack([t_col, np.stack([stat, -stat], axis=1).reshape(-1, stat.shape[1])])
@@ -420,10 +424,8 @@ def _basis_certificate(prog: DualMinProgram, w, z, offsets, shift: float) -> Mul
 
 def find_kkt_point(
     prog: DualMinProgram,
-    tol: float = DEFAULT_TOL,
     seed: int = 0,
     max_iter: int = MAX_ITER,
-    num_starts: int = 12,
     trace: list | None = None,
 ) -> KKTSearchResult:
     """A KKT point of ``prog`` from Nash equilibria found by Lemke's method.
@@ -432,24 +434,22 @@ def find_kkt_point(
     is a KKT point of the eliminated program, and the equilibria are the
     solutions of the game's LCP (``_game_lcp``).  One complementary path
     runs per covering vector: the first is all ones, the other
-    ``num_starts - 1`` are drawn from ``seed``.  The paths pivot in
+    ``NUM_COVERS - 1`` are drawn from ``seed``.  The paths pivot in
     lockstep in one stacked tableau (``_lemke_paths``), each exactly as
     it would alone.  Different covering vectors can end at different
     equilibria; the one with the lowest objective wins.  ``max_iter``
     caps the pivots of each path, and ``iterations`` counts the pivots
     of all paths.  The winner's ``certificate`` (mu, lambda, nu) is read
     off its final basis, its ``residual`` is that certificate's
-    ``certificate_violation``, and ``converged`` is ``residual <= tol``.
-    When ``trace`` is a list it receives one (pivot, z0, path) row per
-    pivot.  Raises NonConvergenceError when no path ends within
-    ``max_iter`` pivots.
+    ``certificate_violation``, and ``converged`` is ``residual <=
+    CERTIFICATE_TOL``.  When ``trace`` is a list it receives one (pivot,
+    z0, path) row per pivot.  Raises NonConvergenceError when no path ends
+    within ``max_iter`` pivots.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     M, q, offsets, shift = _game_lcp(prog.game)
     rng = np.random.default_rng(seed)
-    covers = np.ones((num_starts, len(q)))
-    for path in range(1, num_starts):
+    covers = np.ones((NUM_COVERS, len(q)))
+    for path in range(1, NUM_COVERS):
         covers[path] = rng.uniform(0.5, 1.5, len(q))
     best, pivots = None, 0
     for path, (solution, z0_values) in enumerate(_lemke_paths(M, q, covers, max_iter)):
@@ -464,14 +464,14 @@ def find_kkt_point(
             best = (value, x, solution)
     if best is None:
         raise NonConvergenceError(
-            f"find_kkt_point: none of {num_starts} complementary paths reached a solution"
+            f"find_kkt_point: none of {NUM_COVERS} complementary paths reached a solution"
         )
     value, x, (w, z) = best
     gamma = prog.gamma_of(x)
     cert = _basis_certificate(prog, w, z, offsets, shift)
     residual = certificate_violation(prog, x, gamma, cert)
     return KKTSearchResult(
-        x=x, gamma=gamma, residual=residual, converged=residual <= tol,
+        x=x, gamma=gamma, residual=residual, converged=residual <= CERTIFICATE_TOL,
         iterations=pivots, objective=value, certificate=cert,
     )
 
@@ -491,7 +491,7 @@ def extract_multipliers(
     It shares no code with the Lemke search, so it cross-checks the
     certificate ``find_kkt_point`` reads off its basis.
     """
-    stat, b, eq, bounds, unpack = _multiplier_system(prog, x, ACTIVITY_THRESHOLD)
+    stat, b, eq, bounds, unpack = _multiplier_system(prog, x)
     lp = LinearProgram(
         objective=np.zeros(stat.shape[1]),
         ineq_matrix=np.stack([stat, -stat], axis=1).reshape(-1, stat.shape[1]),

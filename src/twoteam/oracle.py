@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ DEFAULT_BUDGET = 10_000_000
 # on peak RSS (-10%) with the tail latency flat; tiles of 2^20 ran the mix
 # about 25% slower than 2^16.
 _CHUNK = 1 << 15
+# Constraint rows, bounds included, that enumerate_lp_vertices accepts.
+VERTEX_ROW_LIMIT = 12
 
 
 class GridBudgetError(RuntimeError):
@@ -58,22 +61,6 @@ class GridBudgetError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid of step 1/k, stored by its exact denominator."""
-
-    k: int
-
-    def __post_init__(self):
-        if int(self.k) < 1:
-            raise ValueError("grid denominator must be >= 1")
-        object.__setattr__(self, "k", int(self.k))
-
-    @property
-    def resolution(self) -> float:
-        return 1.0 / self.k
-
-
 def _check_budget(total: int, budget) -> None:
     budget = DEFAULT_BUDGET if budget is None else int(budget)
     if total > budget:
@@ -81,7 +68,11 @@ def _check_budget(total: int, budget) -> None:
 
 
 def _grid_k(grid) -> int:
-    return grid.k if isinstance(grid, GridSpec) else GridSpec(int(grid)).k
+    """The denominator k of a grid of step 1/k: an integer, at least 1."""
+    k = operator.index(grid)
+    if k < 1:
+        raise ValueError("grid denominator must be >= 1")
+    return k
 
 
 def simplex_grid(m: int, k: int) -> np.ndarray:
@@ -453,14 +444,15 @@ class VertexEnumeration:
     value: float | None
 
 
-def enumerate_lp_vertices(lp: LinearProgram, guard: int = 12) -> VertexEnumeration:
+def enumerate_lp_vertices(lp: LinearProgram) -> VertexEnumeration:
     """Enumerate basic solutions, filter feasible ones, return the best.
 
     Combinatorial oracle for solve_lp.  Unboundedness is certified with a
     recession direction found along basis edges.  Assumes a pointed
     feasible region (every variable bounded on at least one side), which
     the random-LP tests guarantee; a feasible region without vertices is
-    reported as infeasible.
+    reported as infeasible.  More than ``VERTEX_ROW_LIMIT`` constraint rows
+    raise GridBudgetError.
     """
     n = lp.num_vars
     rows, rhs = list(lp.ineq_matrix), list(lp.ineq_rhs)
@@ -476,8 +468,8 @@ def enumerate_lp_vertices(lp: LinearProgram, guard: int = 12) -> VertexEnumerati
     eq = lp.eq_matrix
     eq_rhs = lp.eq_rhs
     total = ineq.shape[0] + eq.shape[0]
-    if total > guard:
-        raise GridBudgetError(required=total, budget=guard)
+    if total > VERTEX_ROW_LIMIT:
+        raise GridBudgetError(required=total, budget=VERTEX_ROW_LIMIT)
 
     need = n - eq.shape[0]
     if need < 0:

@@ -17,6 +17,7 @@ from twoteam.instances import (
 )
 from twoteam import lp_solver, membership_solver
 from twoteam.membership_solver import (
+    NUM_COVERS,
     SolverError,
     build_dual_program,
     certificate_violation,
@@ -131,8 +132,8 @@ def test_dual_transcription_matches_naive_builder():
 def test_find_kkt_matching_pennies():
     g, s = matching_pennies()
     prog = build_dual_program(g, s)
-    res = find_kkt_point(prog, tol=1e-9, seed=0)
-    assert res.converged
+    res = find_kkt_point(prog, seed=0)
+    assert res.residual <= 1e-9
     assert res.x[0] == pytest.approx([0.5, 0.5], abs=1e-9)
     assert res.gamma == pytest.approx([0.0], abs=1e-9)
     # Grid oracle confirms the minimizer.
@@ -144,8 +145,7 @@ def test_find_kkt_no_edge_game():
     g = PolymatrixGame([2, 2, 2])
     s = TwoTeamStructure((0, 1), (2,), independent_adversaries=True)
     prog = build_dual_program(g, s)
-    res = find_kkt_point(prog, tol=1e-10, seed=0)
-    assert res.converged
+    res = find_kkt_point(prog, seed=0)
     assert res.residual <= 1e-10
     assert res.gamma == pytest.approx([0.0])
 
@@ -153,7 +153,8 @@ def test_find_kkt_no_edge_game():
 def test_extract_multipliers_matching_pennies():
     g, s = matching_pennies()
     prog = build_dual_program(g, s)
-    res = find_kkt_point(prog, tol=1e-10, seed=0)
+    res = find_kkt_point(prog, seed=0)
+    assert res.residual <= 1e-10
     cert = extract_multipliers(prog, res.x, res.gamma)
     assert cert.mu[0].sum() == pytest.approx(1.0, abs=1e-9)
     assert cert.mu[0] == pytest.approx([0.5, 0.5], abs=1e-6)
@@ -164,7 +165,8 @@ def test_extract_multipliers_no_edges_returns_vertex():
     g = PolymatrixGame([2, 3])
     s = TwoTeamStructure((0,), (1,), independent_adversaries=True)
     prog = build_dual_program(g, s)
-    res = find_kkt_point(prog, tol=1e-10, seed=0)
+    res = find_kkt_point(prog, seed=0)
+    assert res.residual <= 1e-10
     cert = extract_multipliers(prog, res.x, res.gamma)
     # All conditions degenerate; the feasibility solver lands on a vertex.
     assert cert.mu[0].sum() == pytest.approx(1.0, abs=1e-9)
@@ -225,8 +227,8 @@ def test_certificate_passes_general_kkt_verifier():
     for trial in range(5):
         g, s = random_independent_game(rng, 2, 2, 2)
         prog = build_dual_program(g, s)
-        res = find_kkt_point(prog, tol=1e-9, seed=trial)
-        assert res.converged
+        res = find_kkt_point(prog, seed=trial)
+        assert res.residual <= 1e-9
         _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x, res.gamma))
     # Unequal action counts: both the basis certificate and the LP's.
     rng = np.random.default_rng(403)
@@ -237,8 +239,8 @@ def test_certificate_passes_general_kkt_verifier():
             continue
         unequal += 1
         prog = build_dual_program(g, s)
-        res = find_kkt_point(prog, tol=1e-9, seed=trial)
-        assert res.converged, trial
+        res = find_kkt_point(prog, seed=trial)
+        assert res.residual <= 1e-9, trial
         _assert_passes_general_kkt_verifier(prog, res, res.certificate)
         _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x, res.gamma))
     assert unequal >= 5
@@ -367,10 +369,10 @@ def test_find_kkt_point_counts_pivots_and_traces_them():
     g, s = random_independent_game(rng, 2, 2, 3)
     prog = build_dual_program(g, s)
     trace = []
-    res = find_kkt_point(prog, seed=3, num_starts=4, trace=trace)
+    res = find_kkt_point(prog, seed=3, trace=trace)
     assert res.converged
     assert [row[0] for row in trace] == list(range(res.iterations))
-    assert sorted({row[2] for row in trace}) == [0, 1, 2, 3]
+    assert sorted({row[2] for row in trace}) == list(range(NUM_COVERS))
     assert res.objective == prog.objective(res.x)
     with pytest.raises(SolverError, match="complementary paths"):
         find_kkt_point(prog, max_iter=1)

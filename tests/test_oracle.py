@@ -27,7 +27,6 @@ from twoteam.instances import (
 from twoteam.lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 from twoteam.oracle import (
     GridBudgetError,
-    GridSpec,
     enumerate_lp_vertices,
     finite_diff_grad,
     grid_kkt_points,
@@ -75,10 +74,15 @@ def test_simplex_grid_rejects_an_empty_simplex():
         simplex_grid(0, 3)
 
 
-def test_grid_spec_validates():
-    assert GridSpec(20).resolution == 0.05
-    with pytest.raises(ValueError):
-        GridSpec(0)
+@pytest.mark.parametrize("grid, error", [(0, ValueError), (-3, ValueError),
+                                         (2.5, TypeError), ("20", TypeError)])
+def test_scans_reject_grids_that_are_not_positive_integers(grid, error):
+    g, _ = matching_pennies()
+    q = QuadraticInstance(n=1, constant=0, linear=[0], cross=[[0]], square=[1], epsilon=0.1)
+    with pytest.raises(error):
+        next(iter_profile_regrets(g, grid))
+    with pytest.raises(error):
+        grid_kkt_points(q, grid, 0.1)
 
 
 def test_grid_min_regret_matching_pennies():

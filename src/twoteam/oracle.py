@@ -16,10 +16,14 @@ action's value on a tile as a row per prefix times a column per block, and
 running maximum over actions; no outer sum is built.  The products round
 differently from sums taken term by term, by about 1e-16, so these scans
 agree with the definitional verifiers to 1e-12 rather than bit for bit.
-The KKT-lattice scan bounds each coordinate's gradient per digit, and the
-stage-1 scan counts KKT cells in one small table per index; both are
-exact.  Each scan call owns its tile-sized workspaces, replaced only when
-the tile shape changes.  No scan calls the point-wise verifiers.
+The KKT-lattice scan bounds each coordinate's gradient per digit; it is
+exact.  The stage-1 scan counts KKT cells per index as matrix products of
+0/1 pass tables, one per variable and digit case (0, interior or k), over
+tiles of y digits: for n = 1 it contracts x' per case block, for n = 2
+the (y, x') axis per x case.  Each float32 product adds up far fewer
+than 2^24 cells, so the counts are exact.  Each scan call owns its
+tile-sized workspaces, replaced only when the tile shape changes.  No scan
+calls the point-wise verifiers.
 """
 
 from __future__ import annotations
@@ -341,12 +345,25 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     Index i's table ``C[s, x]`` counts the (x'_i, y_i) lattice cells that
     complete x_i = x to a KKT cell of the index, where s is the other
     index's x value (one row when n = 1).  Each variable's condition
-    depends only on whether its digit is 0, k or interior.  So per y_i
-    digit, with ``P[x, x']`` the 0/1 matrix of pairs passing the y_i and
-    x'_i conditions and ``N[s, x']`` that of pairs passing x_i's condition
-    in one case, the case's x rows gain ``N @ P[rows].T``.  The KKT cells
-    of the whole lattice over an x block number ``C0[0]`` when n = 1 and
-    ``C0.T * C1`` when n = 2.
+    depends only on whether its digit is 0, k or interior (its case c), so
+    three 0/1 pass tables cover every cell: ``Y[c, x, x']`` for y_i,
+    ``XP[c, x, y]`` for x'_i and ``X[c, s, y, x']`` for x_i, each read at
+    its own digit's case.  ``C[s, x]`` is the sum over (x', y) of their
+    product, taken as matrix products per case block over tiles of y
+    digits sized from ``_CHUNK``:
+
+    - n = 1: per case block of x, x' and y, ``(Y @ X.T) * XP`` summed over
+      y contracts x' in BLAS;
+    - n = 2: per tile, ``T[x, y, x'] = Y and XP`` holds no s, so one
+      product ``X[c] @ T[rows].T`` over the flattened (y, x') axis per
+      x case counts every s at once.
+
+    Each gradient keeps the expression of the point-wise KKT cases, so the
+    tables are exact; each float32 product adds up at most
+    ``max(k + 1, _CHUNK)`` cells, far below 2^24, and the tiles add up in
+    float64.
+    The KKT cells of the whole lattice over an x block number ``C0[0]``
+    when n = 1 and ``C0.T * C1`` when n = 2.
 
     Returns (projected, total): distinct x-block grid points admitting at
     least one full KKT extension (lexicographic order), and the total count
@@ -372,10 +389,10 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     k = _grid_k(grid)
     eps = float(epsilon)
     v = np.arange(k + 1, dtype=float) / k
-    # A min variable's condition at digit 0, interior or k is row 0, 1 or 2
-    # of passes(g); case[d] is digit d's row and rows[c] the digits of case c.
-    case = np.r_[0, np.ones(k - 1, dtype=int), 2]
-    rows = [slice(0, 1), slice(1, k), slice(k, k + 1)]
+    # A variable's condition at digit 0, interior or k is row 0, 1 or 2 of
+    # passes(g); cases pairs each row with its block of digits (at k = 1 the
+    # interior block is empty and left out).
+    cases = [(c, slice(a, z)) for c, (a, z) in enumerate([(0, 1), (1, k), (k, k + 1)]) if a < z]
 
     def passes(g):
         return np.stack([g >= -eps, np.abs(g) <= eps, g <= eps])
@@ -386,19 +403,53 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
         # x_i's gradient starts at s: beta_i plus, when n = 2, the coupling
         # term of the other index's x value.
         s = np.array([beta[i]]) if n == 1 else beta[i] + (gamma[i, 1 - i] + gamma[1 - i, i]) * v
-        # y_i is a max variable, so its conditions are those of -gradient,
-        # which depends only on (x_i, x'_i).
-        y_ok = passes(-(zeta[i] + t1 * v[:, None] + t2 * v[None, :]))
+        # Y[c, x, x']: y_i passes in case c.  y_i is a max variable, so its
+        # conditions are those of -gradient, which depends only on (x_i, x'_i).
+        Y = passes(-(zeta[i] + t1 * v[:, None] + t2 * v[None, :]))
+        # XP[c, x, y]: x'_i passes in case c; its gradient depends on (x_i, y_i).
+        XP = passes(beta[n + i] + di * v[:, None] + t2 * v[None, :])
+        # x_i's gradient is base[s, x'_i] + t1 * y_i.
+        base = s[:, None] + di * v
         C = np.zeros((len(s), k + 1))
-        for ydig, yv in enumerate(v):
-            # P[x, x']: y_i and x'_i pass; x'_i's gradient depends on x_i.
-            P = y_ok[case[ydig]] & passes(beta[n + i] + di * v + t2 * yv)[case].T
-            # x_i's gradient depends on (s, x'_i): one product per x_i case.
-            x_ok = passes(s[:, None] + di * v[None, :] + t1 * yv).astype(float)
-            for c, r in enumerate(rows):
-                C[:, r] += x_ok[c] @ P[r].T
+        step = max(1, _CHUNK // (len(s) * (k + 1)))
+        height = None
+        for lo in range(0, k + 1, step):
+            hi = min(lo + step, k + 1)
+            if height != hi - lo:
+                height = hi - lo
+                g = np.empty((len(s), height, k + 1))
+                X = np.empty((3,) + g.shape, dtype=np.float32)
+                if n == 2:
+                    T = np.empty((k + 1, height, k + 1), dtype=np.float32)
+            # The y cases' blocks clipped to the tile, tile-local.
+            y_cases = [(c, slice(max(b.start, lo) - lo, min(b.stop, hi) - lo))
+                       for c, b in cases if b.start < hi and lo < b.stop]
+            # X[c, s, y, x']: x_i passes in case c, as passes(g) would say
+            # (|g| <= eps holds iff both one-sided bounds do).
+            np.add(base[:, None, :], t1 * v[lo:hi, None], out=g)
+            np.greater_equal(g, -eps, out=X[0])
+            np.less_equal(g, eps, out=X[2])
+            np.multiply(X[0], X[2], out=X[1])
+            XPt = XP[:, :, lo:hi]
+            if n == 1:
+                # Per case block of x, x' and y, the (x', y) cells of x
+                # number the row sums of (Y @ X.T) * XP.
+                for cy, by in y_cases:
+                    for cx, bx in cases:
+                        for cp, bp in cases:
+                            inner = Y[cy, bx, bp] @ X[cx, 0, by, bp].T
+                            C[0, bx] += np.einsum("xy,xy->x", inner, XPt[cp, bx, by])
+                continue
+            # T[x, y, x']: y_i and x'_i pass, each read at its own digit's
+            # case.  T holds no s, so one product per x case counts every s.
+            for cy, by in y_cases:
+                for cp, bp in cases:
+                    np.logical_and(Y[cy, :, None, bp], XPt[cp, :, by, None], out=T[:, by, bp])
+            width = height * (k + 1)
+            for cx, bx in cases:
+                C[:, bx] += X[cx].reshape(len(s), width) @ T[bx].reshape(-1, width).T
         tables.append(C)
-    # The counts are float sums of 0/1 entries far below 2^53, so exact.
+    # Integer counts far below 2^53, so their products are exact too.
     table = tables[0][0] if n == 1 else tables[0].T * tables[1]
     hits = np.nonzero(table)
     projected = np.column_stack([v[h] for h in hits])

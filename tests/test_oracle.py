@@ -399,37 +399,112 @@ def test_grid_kkt_points_exact_on_the_epsilon_boundary(kind, eps, monkeypatch):
         assert np.array_equal(grid_kkt_points(inst, k, eps), want)
 
 
-def test_stage1_scan_agrees_with_direct_enumeration():
-    def scan_total_matching_direct(m, k, eps):
-        direct = grid_kkt_points(m, k, eps, budget=10**7)
-        proj, total = stage1_kkt_grid_scan(m, k, eps)
-        assert total == len(direct)
-        n = m.n_y
-        assert sorted(set(tuple(p[:n]) for p in direct)) == sorted(map(tuple, proj))
-        return total
+def stage1_direct(m, k, eps):
+    """The stage-1 scan's (projected, total), by direct lattice enumeration."""
+    direct = grid_kkt_points(m, k, eps, budget=10**7)
+    return np.unique(direct[:, : m.n_y], axis=0), len(direct)
 
+
+def assert_stage1_matches_direct(m, k, eps, want=None):
+    want_projected, want_total = stage1_direct(m, k, eps) if want is None else want
+    projected, total = stage1_kkt_grid_scan(m, k, eps)
+    assert total == want_total
+    assert np.array_equal(projected, want_projected)
+    return total
+
+
+def reduced_random_qp(rng, n):
+    q = QuadraticInstance(n=n, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, n),
+                          cross=random_cross(rng, n), square=rng.uniform(-1, 1, n), epsilon=1.0 / 13.0)
+    return reduce_stage1(q)
+
+
+def test_stage1_scan_agrees_with_direct_enumeration():
     rng = np.random.default_rng(2)
     # n = 1: full 3-D lattice is enumerable directly.
     q = QuadraticInstance(n=1, constant=0.2, linear=[-0.3], cross=[[0]],
                           square=[0.9], epsilon=1.0 / 13.0)
     m, _ = reduce_stage1(q)
     for k, eps in [(50, m.epsilon), (50, 0.5), (24, 0.2)]:
-        scan_total_matching_direct(m, k, eps)
+        assert_stage1_matches_direct(m, k, eps)
     # n = 2 at a coarse grid: 9^6 lattice points.
     cross = np.zeros((2, 2))
     cross[0, 1], cross[1, 0] = rng.uniform(-1, 1, 2)
     q2 = QuadraticInstance(n=2, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, 2),
                            cross=cross, square=rng.uniform(-1, 1, 2), epsilon=1.0 / 13.0)
     m2, _ = reduce_stage1(q2)
-    scan_total_matching_direct(m2, 8, 0.3)
+    assert_stage1_matches_direct(m2, 8, 0.3)
     # Reduced random QPs at 0.75 T/k, where the lattice holds KKT points
     # (at the stage's own epsilon random draws have almost none).
     for n, k in [(1, 40), (2, 10), (2, 12)]:
-        q = QuadraticInstance(n=n, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, n),
-                              cross=random_cross(rng, n), square=rng.uniform(-1, 1, n),
-                              epsilon=1.0 / 13.0)
-        m, params = reduce_stage1(q)
-        assert scan_total_matching_direct(m, k, 0.75 * params.T / k) > 0
+        m, params = reduced_random_qp(rng, n)
+        assert assert_stage1_matches_direct(m, k, 0.75 * params.T / k) > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stage1_scan_on_degenerate_grids(n):
+    # Grid 1 has no interior digit, so its interior case block is empty;
+    # grids 2 and 3 have interior blocks one and two digits wide.
+    rng = np.random.default_rng(20 + n)
+    with_cells = 0
+    for _ in range(10):
+        m, params = reduced_random_qp(rng, n)
+        for k in (1, 2, 3):
+            for eps in (m.epsilon, 0.75 * params.T / k, params.T):
+                with_cells += assert_stage1_matches_direct(m, k, eps) > 0
+    assert with_cells >= 30
+
+
+def _stage1_boundary_instance(n, beta, gamma, zeta, theta):
+    return MinmaxIndInstance(n_x=2 * n, n_y=n, alpha=0, beta=beta, gamma=gamma, zeta=zeta,
+                             theta=theta, epsilon=0.25)
+
+
+# Doubled-variable instances with dyadic coefficients on a grid of 1/8:
+# every lattice gradient is exact, and for every variable some equal -eps
+# at digit 0, +eps at digit k and both inside, for eps = 0 and eps = 1/4.
+STAGE1_BOUNDARY_INSTANCES = {
+    1: _stage1_boundary_instance(1, beta=[0.5, 0.5], gamma=[[0, -1], [0, 0]], zeta=[0.5],
+                                 theta=[[-0.25], [-0.5]]),
+    2: _stage1_boundary_instance(2, beta=[-0.5, 0.75, -0.5, 0.5],
+                                 gamma=[[0, 0.75, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]],
+                                 zeta=[0, 1], theta=[[0.5, 0], [0, -0.75], [-0.5, 0], [0, -0.5]]),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+@pytest.mark.parametrize("n", sorted(STAGE1_BOUNDARY_INSTANCES))
+def test_stage1_scan_exact_on_the_epsilon_boundary(n, eps, monkeypatch):
+    m, k = STAGE1_BOUNDARY_INSTANCES[n], 8
+    digits = np.array(list(itertools.product(range(k + 1), repeat=3 * n)))
+    x, y = digits[:, : 2 * n] / k, digits[:, 2 * n :] / k
+    # A max variable's conditions are the min-side ones of -gradient.
+    grads = np.hstack([m.beta + x @ (m.gamma + m.gamma.T) + y @ m.theta.T, -(m.zeta + x @ m.theta)])
+    inside = (digits > 0) & (digits < k)
+    for hit in [(digits == 0) & (grads == -eps), (digits == k) & (grads == eps),
+                inside & (grads == eps), inside & (grads == -eps)]:
+        assert hit.any(axis=0).all()
+    want = stage1_direct(m, k, eps)
+    assert 0 < want[1] < len(digits)
+    for chunk in (oracle._CHUNK, 5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert_stage1_matches_direct(m, k, eps, want)
+
+
+@pytest.mark.parametrize("n, k", [(1, 200), (1, 40), (1, 12), (2, 60), (2, 12)])
+def test_stage1_scan_is_tile_independent(n, k, monkeypatch):
+    m, params = reduced_random_qp(np.random.default_rng(k), n)
+    eps = 0.75 * params.T / k
+    projected, total = stage1_kkt_grid_scan(m, k, eps)
+    assert total > 0
+    # The default chunk tiles y by 163 digits at (1, 200) and by 8 at
+    # (2, 60), a chunk of 50 by 3 at (1, 12); otherwise the chunks of 5 and
+    # 50 put every y digit in a tile of its own.
+    for chunk in (5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        got_projected, got_total = stage1_kkt_grid_scan(m, k, eps)
+        assert got_total == total
+        assert np.array_equal(got_projected, projected)
 
 
 def test_stage1_scan_rejects_foreign_shapes():

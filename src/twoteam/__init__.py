@@ -28,7 +28,6 @@ from .instances import (
     eval_quadratic,
     grad_minmax,
     grad_quadratic,
-    pad_minmax,
     sum_abs_coeffs,
     verify_general_kkt,
     verify_min_kkt,

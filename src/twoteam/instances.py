@@ -317,29 +317,6 @@ def verify_general_kkt(objective: QuadraticInstance, A, b, x, mu, tol: float) ->
     return KKTReport(residuals, max_violation, max_violation <= 0.0, tuple(classification))
 
 
-def pad_minmax(inst: MinmaxIndInstance) -> MinmaxIndInstance:
-    """Pad the smaller side with zero-coefficient variables up to the larger.
-
-    Dummy variables have identically zero gradients, so every KKT condition
-    holds vacuously for them.
-    """
-    if inst.n_x == inst.n_y:
-        return inst
-    n = max(inst.n_x, inst.n_y)
-    beta = np.zeros(n)
-    beta[: inst.n_x] = inst.beta
-    gamma = np.zeros((n, n))
-    gamma[: inst.n_x, : inst.n_x] = inst.gamma
-    zeta = np.zeros(n)
-    zeta[: inst.n_y] = inst.zeta
-    theta = np.zeros((n, n))
-    theta[: inst.n_x, : inst.n_y] = inst.theta
-    return MinmaxIndInstance(
-        n_x=n, n_y=n, alpha=inst.alpha,
-        beta=beta, gamma=gamma, zeta=zeta, theta=theta, epsilon=inst.epsilon,
-    )
-
-
 # ---------------------------------------------------------------------------
 # File format: sparse triplet lists for the matrices.
 

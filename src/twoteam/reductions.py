@@ -23,7 +23,6 @@ from .instances import (
     MinmaxIndInstance,
     MinmaxPoint,
     QuadraticInstance,
-    pad_minmax,
     sum_abs_coeffs,
 )
 
@@ -51,11 +50,15 @@ class StageTwoParams:
 
     delta_out = eps^2 / (4 Z) is the Nash accuracy demanded of the game;
     rounding_threshold = eps / (2 Z) drives the candidate-point rounding.
+    n_x and n_y are the instance's sizes; the pullback reads x and y off
+    the profile by them.
     """
 
     Z: float
     delta_out: float
     rounding_threshold: float
+    n_x: int
+    n_y: int
 
 
 @dataclass(frozen=True)
@@ -140,47 +143,53 @@ def pullback_stage1(p: MinmaxPoint) -> BoxPoint:
 def reduce_stage2(m_inst: MinmaxIndInstance):
     """Minmax instance -> two-team game with independent adversaries.
 
-    Pads with zero-coefficient variables first if n_x != n_y.  Each of the
-    n variables on either side becomes a two-action player; the first
-    action carries the variable's value as its probability.  The payoff
-    matrices place the total coefficient of the monomial x_i x_j on the
-    coordination edges and split beta and zeta across the cross edges so
-    that utilities reproduce the partial derivatives of M.
+    Each variable becomes a two-action player whose first action carries
+    the variable's value as its probability: team X is players 0..n_x-1,
+    the adversaries follow.  An instance without max-variables gets one
+    zero-coefficient adversary, so that beta has a cross edge to sit on.
+    The payoff matrices place the total coefficient of the monomial
+    x_i x_j on the coordination edges and split zeta over the n_x and beta
+    over the adversaries' cross edges, so that each player's payoff
+    difference between its two actions is a partial derivative of M.
     """
     Z = sum_abs_coeffs(m_inst)
     eps = m_inst.epsilon
-    padded = pad_minmax(m_inst)
-    n = padded.n_x
+    n_x, n_y = m_inst.n_x, m_inst.n_y
+    n_adv = max(n_y, 1)
+    theta = m_inst.theta if n_y else np.zeros((n_x, 1))
+    zeta = m_inst.zeta if n_y else np.zeros(1)
+    beta, gamma = m_inst.beta, m_inst.gamma
 
-    game = PolymatrixGame([2] * (2 * n))
-    # Team X players are 0..n-1, adversaries n..2n-1.
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = padded.gamma[i, j] + padded.gamma[j, i]
+    game = PolymatrixGame([2] * (n_x + n_adv))
+    for i in range(n_x):
+        for j in range(i + 1, n_x):
+            c = gamma[i, j] + gamma[j, i]
             if c != 0.0:
                 block = np.array([[-c, 0.0], [0.0, 0.0]])
                 game.add_edge(i, j, block, block.T)
-    for i in range(n):
-        for j in range(n):
-            top = padded.theta[i, j] + padded.zeta[j] / n + padded.beta[i] / n
+    for i in range(n_x):
+        for j in range(n_adv):
+            top = theta[i, j] + zeta[j] / n_x + beta[i] / n_adv
             a_bj_ai = np.array(
                 [
-                    [top, padded.zeta[j] / n],
-                    [padded.beta[i] / n, 0.0],
+                    [top, zeta[j] / n_x],
+                    [beta[i] / n_adv, 0.0],
                 ]
             )
             if np.any(a_bj_ai != 0.0):
-                game.add_edge(n + j, i, a_bj_ai, -a_bj_ai.T)
+                game.add_edge(n_x + j, i, a_bj_ai, -a_bj_ai.T)
 
     structure = TwoTeamStructure(
-        team_x=tuple(range(n)),
-        team_y=tuple(range(n, 2 * n)),
+        team_x=tuple(range(n_x)),
+        team_y=tuple(range(n_x, n_x + n_adv)),
         independent_adversaries=True,
     )
     params = StageTwoParams(
         Z=Z,
         delta_out=eps * eps / (4.0 * Z),
         rounding_threshold=eps / (2.0 * Z),
+        n_x=n_x,
+        n_y=n_y,
     )
     return game, structure, params
 
@@ -190,10 +199,14 @@ def pullback_stage2(profile: StrategyProfile, params: StageTwoParams) -> MinmaxP
 
     Probabilities below the rounding threshold snap to 0, above one minus
     the threshold snap to 1, and interior ones pass through unchanged.
+    x is read from players 0..n_x-1 and y from the n_y players after them.
     """
-    if profile.num_players % 2 != 0:
-        raise ValueError("profile must cover 2n two-action players")
-    n = profile.num_players // 2
+    n_x, n_y = params.n_x, params.n_y
+    players = n_x + max(n_y, 1)
+    if profile.num_players != players:
+        raise ValueError(
+            f"profile has {profile.num_players} players, the stage-2 game has {players}"
+        )
     t = params.rounding_threshold
 
     def snap(p: float) -> float:
@@ -203,8 +216,8 @@ def pullback_stage2(profile: StrategyProfile, params: StageTwoParams) -> MinmaxP
             return 1.0
         return p
 
-    x = [snap(float(profile[i][0])) for i in range(n)]
-    y = [snap(float(profile[n + j][0])) for j in range(n)]
+    x = [snap(float(profile[i][0])) for i in range(n_x)]
+    y = [snap(float(profile[n_x + j][0])) for j in range(n_y)]
     return MinmaxPoint(BoxPoint(x), BoxPoint(y))
 
 
@@ -228,10 +241,10 @@ def reduce_full(q_inst: QuadraticInstance):
 
 
 def pullback_full(profile: StrategyProfile, params: FullReductionParams) -> BoxPoint:
-    """Game profile -> candidate KKT point of the original quadratic instance."""
-    point = pullback_stage2(profile, params.stage2)
-    # The stage-2 game was built on the padded instance (2n min and max
-    # variables); drop the dummy max block, then project onto the x block.
-    n2 = params.n * 2
-    trimmed = MinmaxPoint(BoxPoint(point.x.values[:n2]), BoxPoint(point.y.values[: params.n]))
-    return pullback_stage1(trimmed)
+    """Game profile -> candidate KKT point of the original quadratic instance.
+
+    The game has 3n players for an n-variable instance: stage 2's rounding
+    gives the 2n + n point of the intermediate instance, and stage 1's
+    projection keeps its first n min-coordinates.
+    """
+    return pullback_stage1(pullback_stage2(profile, params.stage2))

@@ -8,8 +8,9 @@ import pytest
 
 import twoteam
 from twoteam import cli, membership_solver
-from twoteam.game_core import game_from_dict, validate_two_team
+from twoteam.game_core import game_from_dict, profile_from_dict, validate_two_team
 from twoteam.instances import instance_from_dict
+from twoteam.reductions import StageTwoParams, pullback_stage2
 
 
 def run(*argv):
@@ -60,6 +61,39 @@ def test_reduce_stage1_sidecar_constants(tmp_path):
     assert params["eta"] == pytest.approx(2 * (1 / 13) ** 2 / params["Z"])
     inst = instance_from_dict(read(m))
     assert inst.n_x == 2 * 1 and inst.n_y == 1
+
+
+def test_reduce_stage2_sidecar_rebuilds_params_and_pulls_back(tmp_path):
+    # An unequal instance through the CLI: the sidecar rebuilds the stage-2
+    # params, and the solved profile pulls back to a KKT point of m.json.
+    m, g, prof, pt = (tmp_path / name for name in ("m.json", "g.json", "prof.json", "pt.json"))
+    assert run("gen", "--kind", "minmax", "--nx", "3", "--ny", "1", "--seed", "1",
+               "--out", str(m)) == 0
+    assert run("reduce", "--stage", "2", "--in", str(m), "--out", str(g)) == 0
+    sidecar = read(str(g) + ".params.json")
+    assert sidecar.pop("stage") == 2
+    params = StageTwoParams(**sidecar)
+    assert (params.n_x, params.n_y) == (3, 1)
+    assert game_from_dict(read(g))[0].num_players == 4
+    delta = repr(params.delta_out)
+    assert run("solve", "--game", str(g), "--epsilon", delta, "--out", str(prof)) == 0
+    assert run("verify", "--kind", "nash", "--game", str(g), "--profile", str(prof),
+               "--epsilon", delta) == 0
+    point = pullback_stage2(profile_from_dict(read(prof)), params)
+    pt.write_text(json.dumps({"x": point.x.values.tolist(), "y": point.y.values.tolist()}))
+    epsilon = repr(instance_from_dict(read(m)).epsilon)
+    assert run("verify", "--kind", "minmax-kkt", "--instance", str(m), "--point", str(pt),
+               "--epsilon", epsilon) == 0
+
+
+def test_reduce_full_sidecar_rebuilds_stage2_params(tmp_path):
+    q = tmp_path / "q.json"
+    g = tmp_path / "g.json"
+    run("gen", "--kind", "quadratic", "--n", "2", "--seed", "3", "--out", str(q))
+    assert run("reduce", "--stage", "full", "--in", str(q), "--out", str(g)) == 0
+    params = StageTwoParams(**read(str(g) + ".params.json")["stage2"])
+    assert (params.n_x, params.n_y) == (4, 2)
+    assert game_from_dict(read(g))[0].num_players == 6
 
 
 def test_reduce_kind_mismatch_is_usage_error(tmp_path):

@@ -12,7 +12,6 @@ from twoteam.instances import (
     grad_quadratic,
     instance_from_dict,
     instance_to_dict,
-    pad_minmax,
     sum_abs_coeffs,
     verify_general_kkt,
     verify_min_kkt,
@@ -224,23 +223,6 @@ def test_boundary_classification_is_exact():
     assert rep.classification == ("interior",)
     rep = verify_min_kkt(x_squared(), BoxPoint([-0.5]), 10.0)  # clamps to 0
     assert rep.classification == ("at_zero",)
-
-
-def test_dummy_padding_is_vacuous():
-    rng = np.random.default_rng(6)
-    m = random_minmax(rng, 2, 1)
-    padded = pad_minmax(m)
-    assert padded.n_x == padded.n_y == 2
-    for _ in range(20):
-        x = rng.uniform(0, 1, 2)
-        y = rng.uniform(0, 1, 1)
-        y_pad = np.concatenate([y, rng.uniform(0, 1, 1)])
-        assert eval_minmax(padded, (x, y_pad)) == pytest.approx(eval_minmax(m, (x, y)))
-        eps = rng.uniform(0, 1)
-        assert (
-            verify_minmax_kkt(padded, MinmaxPoint(BoxPoint(x), BoxPoint(y_pad)), eps).passed
-            == verify_minmax_kkt(m, MinmaxPoint(BoxPoint(x), BoxPoint(y)), eps).passed
-        )
 
 
 def test_structural_invariants_rejected():

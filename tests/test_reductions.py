@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twoteam.game_core import StrategyProfile, validate_two_team
+from twoteam.game_core import StrategyProfile, utility, validate_two_team
 from twoteam.instances import (
     BoxPoint,
     MinmaxIndInstance,
@@ -10,7 +10,9 @@ from twoteam.instances import (
     eval_minmax,
     sum_abs_coeffs,
     verify_min_kkt,
+    verify_minmax_kkt,
 )
+from twoteam.membership_solver import solve
 from twoteam.oracle import stage1_kkt_grid_scan
 from twoteam.reductions import (
     copy_gadget,
@@ -153,27 +155,30 @@ def test_stage2_entry_magnitude_bound():
         assert game.max_abs_payoff() <= bound + 1e-12
 
 
-def test_stage2_utilities_reproduce_gradient_form():
-    # U_{a_i}(p~) = -p~ (beta_i + sum gamma p + sum theta q) - sum zeta q / n
+@pytest.mark.parametrize("n_x, n_y", [(2, 2), (3, 1), (1, 3)])
+def test_stage2_utilities_reproduce_gradient_form(n_x, n_y):
+    # U_{a_i}(p~) = -p~ (beta_i + sum gamma p + sum theta q) - sum zeta q / n_x
+    # U_{b_j}(q~) = q~ (zeta_j + sum theta p) + sum beta p / n_y
     rng = np.random.default_rng(3)
-    m = random_minmax(rng, 2, 2)
+    m = random_minmax(rng, n_x, n_y)
     game, structure, _ = reduce_stage2(m)
-    n = 2
+    gsum = m.gamma + m.gamma.T
     for _ in range(20):
-        p = rng.uniform(0, 1, n)
-        q = rng.uniform(0, 1, n)
-        pt = rng.uniform(0, 1)
-        for i in range(n):
-            strategies = [np.array([v, 1 - v]) for v in p] + [np.array([v, 1 - v]) for v in q]
-            strategies[i] = np.array([pt, 1 - pt])
-            prof = StrategyProfile(strategies)
-            from twoteam.game_core import utility
-
-            got = utility(game, i, prof)
-            gsum = m.gamma + m.gamma.T
-            inner = m.beta[i] + sum(gsum[i, j] * p[j] for j in range(n) if j != i)
-            inner += sum(m.theta[i, j] * q[j] for j in range(n))
-            want = -pt * inner - sum(m.zeta[j] * q[j] for j in range(n)) / n
+        p = rng.uniform(0, 1, n_x)
+        q = rng.uniform(0, 1, n_y)
+        t = rng.uniform(0, 1)
+        for player in range(n_x + n_y):
+            strategies = [np.array([v, 1 - v]) for v in np.concatenate([p, q])]
+            strategies[player] = np.array([t, 1 - t])
+            got = utility(game, player, StrategyProfile(strategies))
+            if player < n_x:
+                i = player
+                inner = m.beta[i] + sum(gsum[i, j] * p[j] for j in range(n_x) if j != i)
+                inner += m.theta[i] @ q
+                want = -t * inner - m.zeta @ q / n_x
+            else:
+                j = player - n_x
+                want = t * (m.zeta[j] + p @ m.theta[:, j]) + m.beta @ p / n_y
             assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -192,18 +197,45 @@ def test_pullback_stage2_thresholds():
     assert point.y.values[0] == pytest.approx(0.4)
 
 
-def test_stage2_pads_unequal_dimensions():
+@pytest.mark.parametrize("n_x, n_y, players", [(3, 1, 4), (1, 3, 4), (2, 0, 3), (3, 0, 4)])
+def test_stage2_has_one_player_per_variable(n_x, n_y, players):
+    # Without max-variables one zero-coefficient adversary joins the game.
     rng = np.random.default_rng(4)
-    m = random_minmax(rng, 3, 1)
-    game, structure, _ = reduce_stage2(m)
-    assert game.num_players == 6
+    m = random_minmax(rng, n_x, n_y)
+    game, structure, params = reduce_stage2(m)
+    assert game.num_players == players
+    assert structure.team_x == tuple(range(n_x))
+    assert structure.team_y == tuple(range(n_x, players))
+    assert (params.n_x, params.n_y) == (n_x, n_y)
     assert validate_two_team(game, structure).passed
+
+
+def test_pullback_stage2_rejects_a_profile_of_the_wrong_size():
+    rng = np.random.default_rng(5)
+    for n_x, n_y in [(2, 2), (3, 1), (2, 0)]:
+        game, _, params = reduce_stage2(random_minmax(rng, n_x, n_y))
+        for players in (game.num_players - 1, game.num_players + 1):
+            with pytest.raises(ValueError, match="players"):
+                pullback_stage2(StrategyProfile([[0.5, 0.5]] * players), params)
+
+
+@pytest.mark.parametrize("n_x, n_y", [(3, 1), (1, 3), (2, 0)])
+def test_stage2_unequal_shapes_solve_and_pull_back_to_kkt_points(n_x, n_y):
+    rng = np.random.default_rng(100 + 10 * n_x + n_y)
+    for _ in range(3):
+        m = random_minmax(rng, n_x, n_y)
+        game, structure, params = reduce_stage2(m)
+        profile, report = solve(game, structure, epsilon=params.delta_out, seed=0)
+        assert report.passed
+        point = pullback_stage2(profile, params)
+        assert (len(point.x), len(point.y)) == (n_x, n_y)
+        assert verify_minmax_kkt(m, point, m.epsilon).passed
 
 
 def test_full_composition_shape_and_accuracy():
     q = x_squared()
     game, structure, params = reduce_full(q)
-    assert game.num_players == 4  # n=1 doubles to 2, padded, two teams
+    assert game.num_players == 3  # n=1: x, x' and one max-variable
     z1 = sum_abs_coeffs(reduce_stage1(q)[0])
     expected_delta = (params.minmax_epsilon ** 2) / (4.0 * z1)
     assert params.delta == pytest.approx(expected_delta)
@@ -215,7 +247,7 @@ def test_full_pullback_through_both_stages():
     game, structure, params = reduce_full(q)
     # A profile deep in the rounding bands maps through both pullbacks.
     t = params.stage2.rounding_threshold
-    strategies = [[t / 10, 1 - t / 10], [0.3, 0.7], [0.5, 0.5], [0.5, 0.5]]
+    strategies = [[t / 10, 1 - t / 10], [0.3, 0.7], [0.5, 0.5]]
     prof = StrategyProfile(strategies)
     x = pullback_full(prof, params)
     assert len(x.values) == 1

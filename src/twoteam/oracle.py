@@ -7,23 +7,27 @@ algorithmic path with the solvers they are used to check.  Budget guards
 are hard errors, checked on ``simplex_grid_size`` products before any grid
 is built: a truncated oracle is worse than none.
 
-The regret, KKT-lattice and minimax scans walk their lattices in
-``_prefix_tiles``: only the digits of the axes before the last (the
-prefix) are decoded, and the last axis is a block, so per-prefix terms are
-computed once per prefix row.  The regret and minimax scans write every
-action's value on a tile as a row per prefix times a column per block, and
-``_max_product`` takes one matrix product per player (or adversary) and a
-running maximum over actions; no outer sum is built.  The products round
-differently from sums taken term by term, by about 1e-16, so these scans
-agree with the definitional verifiers to 1e-12 rather than bit for bit.
-The KKT-lattice scan bounds each coordinate's gradient per digit; it is
-exact.  The stage-1 scan counts KKT cells per index as matrix products of
-0/1 pass tables, one per variable and digit case (0, interior or k), over
-tiles of y digits: for n = 1 it contracts x' per case block, for n = 2
-the (y, x') axis per x case.  Each float32 product adds up far fewer
-than 2^24 cells, so the counts are exact.  Each scan call owns its
-tile-sized workspaces, replaced only when the tile shape changes.  No scan
-calls the point-wise verifiers.
+The regret and minimax scans walk their lattices in ``_prefix_tiles``:
+only the digits of the axes before the last (the prefix) are decoded, and
+the last axis is a block, so per-prefix terms are computed once per prefix
+row.  They write every action's value on a tile as a row per prefix times
+a column per block, and ``_max_product`` takes one matrix product per
+player (or adversary) and a running maximum over actions; no outer sum is
+built.  The products round differently from sums taken term by term, by
+about 1e-16, so these scans agree with the definitional verifiers to 1e-12
+rather than bit for bit.  The KKT-lattice scan walks prefix rows and never
+evaluates the gradient at every lattice point: on a row each gradient
+coordinate is monotone along the last axis, so its passing last digits
+form one run, whose ends it finds from an arithmetic guess and a walk that
+compares the gradient itself.  Its per-row terms are summed term by term,
+so its hits do not depend on the tile.  The stage-1 scan counts KKT cells
+per index as matrix products of 0/1 pass tables, one per variable and
+digit case (0, interior or k), over tiles of y digits: for n = 1 it
+contracts x' per case block, for n = 2 the (y, x') axis per x case.  Each
+float32 product adds up far fewer than 2^24 cells, so the counts are
+exact.  Each regret, minimax or stage-1 scan call owns its tile-sized
+workspaces, replaced only when the tile shape changes.  No scan calls the
+point-wise verifiers.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ from .instances import verify_min_kkt, verify_minmax_kkt  # noqa: F401
 from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 DEFAULT_BUDGET = 10_000_000
-# Points per scan tile.  Each scan call allocates its tile buffers once per
-# tile shape.  On a 2-vCPU host, in 10 alternating runs of the benchmark's
+# Points per scan tile (the KKT-lattice scan takes _CHUNK / 8 prefix rows
+# per tile).  Each scan call allocates its tile buffers once per tile
+# shape.  On a 2-vCPU host, in 10 alternating runs of the benchmark's
 # oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%, 10/10) and
 # on peak RSS (-10%) with the tail latency flat; tiles of 2^20 ran the mix
 # about 25% slower than 2^16.
@@ -264,69 +269,165 @@ def grid_nash_profiles(game: PolymatrixGame, grid, delta: float, budget=None, ma
 # Box-lattice KKT enumeration.
 
 
+def _check_epsilon(epsilon) -> float:
+    eps = float(epsilon)
+    if not eps >= 0:
+        raise ValueError("epsilon must be nonnegative")
+    return eps
+
+
+def _digits_below(ext, slope, base, bound) -> np.ndarray:
+    """Per row, how many digits d have ``vals[d] * slope + base < bound``.
+
+    ``ext`` holds the digit values ``vals`` of 0..k with a NaN on either
+    side: ``ext[d + 1]`` is ``vals[d]``.  The slope is positive and
+    rounding is monotone, so these digits are a prefix of 0..k: the count
+    is the first digit whose gradient reaches the bound (k + 1 when none
+    does).  The first guess solves the real-valued crossing ``(bound -
+    base) / slope``; a walk then compares the gradient expression itself
+    below and at each row's count and steps toward the boundary until it is
+    exact.  A row never turns back, so it takes at most k + 1 steps however
+    far off its guess was (a tiny slope throws the guess to an end).
+    """
+    k = len(ext) - 3
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        guess = np.ceil((bound - base) / slope * k)
+    count = np.fmin(np.fmax(guess, 0), k + 1).astype(np.int64)
+    rows = np.arange(len(count))
+    while len(rows):
+        at, b, B = count[rows], base[rows], bound[rows]
+        # ext[at] is digit at - 1 and ext[at + 1] digit at; the NaN past
+        # either end compares false, so no count leaves 0..k + 1.
+        step = (ext[at + 1] * slope + b < B).view(np.int8) - (ext[at] * slope + b >= B).view(np.int8)
+        count[rows] += step
+        rows = rows[step != 0]
+    return count
+
+
+def _digit_run(ext, slope, base, low, high):
+    """Per row, the digits d with ``low <= vals[d] * slope + base <= high``.
+
+    ``ext`` is as in ``_digits_below``; ``base``, ``low`` and ``high``
+    hold one value per row.  Float products and sums round monotonically,
+    so the gradient is monotone along the digits and the passing digits
+    form one run ``[first, stop)``, empty when ``first >= stop``.  A zero
+    slope (or -0.0) leaves the gradient at ``base``: the run is every digit
+    or none.
+    """
+    k = len(ext) - 3
+    if slope == 0:
+        inside = (base >= low) & (base <= high)
+        return np.where(inside, 0, k + 1), np.full(len(base), k + 1)
+    if slope < 0:
+        # -(v * s + b) is exactly v * (-s) + (-b): walk a rising gradient.
+        slope, base, low, high = -slope, -base, -high, -low
+    # g <= high holds iff g < nextafter(high, inf), so both ends of the run
+    # are counts of digits below a bound, found in one walk.
+    ends = _digits_below(ext, slope, np.concatenate([base, base]),
+                         np.concatenate([low, np.nextafter(high, np.inf)]))
+    return ends[: len(base)], ends[len(base):]
+
+
 def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     """All box-lattice points passing the matching KKT verifier at epsilon.
 
-    Every lattice, small or large, goes through one vectorized path.  The
-    gradient is affine, ``g = c + p @ S``; for a minmax instance the y rows
-    are the negated max-side gradient, which turns the max-side conditions
-    into min-side ones.  Per ``_prefix_tiles`` tile, coordinate i's gradient
-    is ``c_i + prefix @ S[:-1, i]`` plus the last coordinate's term
-    broadcast over the block; the gradient and the tile's masks live in
-    the call's workspace.
+    The gradient is affine, ``g = c + p @ S``; for a minmax instance the y
+    rows are the negated max-side gradient, which turns the max-side
+    conditions into min-side ones: at digit 0 ``g >= -eps``, at digit k
+    ``g <= eps``, inside both.  The scan walks prefix rows (every
+    coordinate but the last) in tiles and never evaluates the gradient at
+    every lattice point.  On a row, coordinate i's gradient is ``v *
+    S[last, i] + base_i`` along the last coordinate v, with ``base_i = c_i
+    + sum_j p_j * S[j, i]`` summed term by term, so a row's value does not
+    depend on the tile.  It is monotone in v, so the last digits passing
+    coordinate i form one run (``_digit_run``).  Prefix coordinates are
+    taken flattest first (smallest ``|S[last, i]|``) and rows whose runs no
+    longer meet are dropped; a coordinate whose gradient ignores the last
+    one keeps or drops a row with one compare.  The last coordinate's own
+    conditions then split the run into digit 0, an interior run and
+    digit k.
 
-    The verifier's case split on exact boundary membership (lattice
-    endpoints are exact) becomes a bound per digit: ``low[d] <= g <=
-    high[d]``, with ``low`` = -eps except -inf at digit k and ``high`` = eps
-    except +inf at digit 0.  The prefix digits' bounds broadcast by row,
-    the block's by column.  This is exact: ``-g - eps <= 0`` in floating
-    point holds iff ``g >= -eps``, since rounding is monotone and a nonzero
-    sum of two doubles never rounds to 0.
+    Each run boundary is evaluated with the expression ``v * S[last, i] +
+    base_i``, so a hit is exact for that float gradient: ``g >= -eps``
+    holds iff the verifier's ``-g - eps <= 0`` does, since rounding is
+    monotone and a nonzero sum of two doubles never rounds to 0.  Where the
+    point-wise verifier's gradient rounds differently and lands on
+    ``+-eps``, the two can disagree on that point.  Hits come in
+    lexicographic order.
     """
     k = _grid_k(grid)
+    eps = _check_epsilon(epsilon)
     if isinstance(instance, QuadraticInstance):
         dims = instance.n
         c = instance.linear
         S = instance.cross + instance.cross.T + np.diag(2.0 * instance.square)
     elif isinstance(instance, MinmaxIndInstance):
-        dims = instance.n_x + instance.n_y
+        n_x, dims = instance.n_x, instance.n_x + instance.n_y
         c = np.concatenate([instance.beta, -instance.zeta])
-        S = np.block([
-            [instance.gamma + instance.gamma.T, -instance.theta],
-            [instance.theta.T, np.zeros((instance.n_y, instance.n_y))],
-        ])
+        S = np.zeros((dims, dims))
+        S[:n_x, :n_x] = instance.gamma + instance.gamma.T
+        S[:n_x, n_x:] = -instance.theta
+        S[n_x:, :n_x] = instance.theta.T
     else:
         raise TypeError(f"unsupported instance type {type(instance)!r}")
     _check_budget((k + 1) ** dims, budget)
 
-    vals = np.arange(k + 1, dtype=float) / k
-    # Digit d passes when low[d] <= g <= high[d].
-    low = np.full(k + 1, -float(epsilon))
-    high = np.full(k + 1, float(epsilon))
+    ext = np.full(k + 3, np.nan)
+    vals = ext[1:-1]
+    np.divide(np.arange(k + 1), k, out=vals)
+    # A prefix digit d passes when low[d] <= g <= high[d].
+    low = np.full(k + 1, -eps)
+    high = np.full(k + 1, eps)
     low[k], high[0] = -np.inf, np.inf
     last = dims - 1
+    slopes = S[last]
+    order = sorted(range(last), key=lambda i: abs(slopes[i]))
+
+    def base(pts, i):
+        pre = np.zeros(len(pts))
+        for j in range(last):
+            pre += pts[:, j] * S[j, i]
+        return c[i] + pre
+
     hits = []
-    shape = None
-    for prefix, lo, hi in _prefix_tiles([k + 1] * dims):
-        if shape != (len(prefix), hi - lo):
-            shape = (len(prefix), hi - lo)
-            g = np.empty(shape)
-            mask, ok = np.empty((2,) + shape, dtype=bool)
-        pts = vals.take(prefix)
-        tail = vals[lo:hi]
-        mask.fill(True)
-        for i in range(dims):
-            g[:] = tail * S[last, i]
-            g += (c[i] + pts @ S[:last, i])[:, None]
-            if i < last:
-                below, above = low.take(prefix[:, i])[:, None], high.take(prefix[:, i])[:, None]
-            else:
-                below, above = low[lo:hi], high[lo:hi]
-            mask &= np.greater_equal(g, below, out=ok)
-            mask &= np.less_equal(g, above, out=ok)
-        if mask.any():
-            rows, cols = np.nonzero(mask)
-            hits.append(np.column_stack([pts[rows], tail[cols]]))
+    prefix_total = (k + 1) ** last
+    # On a 4-coordinate lattice a tile's arrays peak at about 100 bytes per
+    # row: 0.43 MB at _CHUNK / 8 rows under tracemalloc, 3.4 MB at _CHUNK
+    # rows, which raised the process's peak RSS; 2^12 to 2^15 rows per
+    # tile ran equally fast.
+    tile = max(1, _CHUNK // 8)
+    for start in range(0, prefix_total, tile):
+        digits = _decode_digits(np.arange(start, min(start + tile, prefix_total)), [k + 1] * last)
+        pts = vals.take(digits)
+        first, stop = np.zeros(len(pts), dtype=np.int64), np.full(len(pts), k + 1)
+        for i in order:
+            f, t = _digit_run(ext, slopes[i], base(pts, i), low.take(digits[:, i]), high.take(digits[:, i]))
+            np.maximum(first, f, out=first)
+            np.minimum(stop, t, out=stop)
+            alive = first < stop
+            digits, pts, first, stop = digits[alive], pts[alive], first[alive], stop[alive]
+        n = len(pts)
+        if not n:
+            continue
+        g = base(pts, last)
+        f, t = _digit_run(ext, slopes[last], g, np.full(n, -eps), np.full(n, eps))
+        # Per row, three ordered runs of last digits: 0, the interior, k.
+        # The gradient is exactly g at digit 0 (v = 0) and slope + g at k.
+        starts, lengths = np.empty((2, n, 3), dtype=np.int64)
+        starts[:, 0], starts[:, 2] = 0, k
+        np.maximum(np.maximum(first, f), 1, out=starts[:, 1])
+        lengths[:, 0] = (first == 0) & (g >= -eps)
+        np.subtract(np.minimum(np.minimum(stop, t), k), starts[:, 1], out=lengths[:, 1])
+        lengths[:, 2] = (stop > k) & (slopes[last] + g <= eps)
+        np.maximum(lengths, 0, out=lengths)
+        total = int(lengths.sum())
+        if total:
+            out = np.empty((total, dims))
+            out[:, :last] = np.repeat(pts, lengths.sum(axis=1), axis=0)
+            flat = lengths.ravel()
+            # A hit's last digit: its run's start plus its place in the run.
+            out[:, last] = vals[np.repeat(starts.ravel() - np.cumsum(flat) + flat, flat) + np.arange(total)]
+            hits.append(out)
     if not hits:
         return np.empty((0, dims))
     return np.vstack(hits)
@@ -387,7 +488,7 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
                 raise ValueError("gamma couples a variable to a foreign duplicate")
 
     k = _grid_k(grid)
-    eps = float(epsilon)
+    eps = _check_epsilon(epsilon)
     v = np.arange(k + 1, dtype=float) / k
     # A variable's condition at digit 0, interior or k is row 0, 1 or 2 of
     # passes(g); cases pairs each row with its block of digits (at k = 1 the

@@ -358,9 +358,9 @@ def test_grid_kkt_points_match_definitional_verifier(case, monkeypatch):
                                  theta=rng.uniform(-1, 1, (n_x, n_y)), epsilon=eps)
     want = definitional_kkt_points(inst, k, eps)
     assert 0 < len(want) < (k + 1) ** want.shape[1]
-    # The default chunk holds the whole lattice; a chunk of 5 splits the
-    # last axis into blocks, one of 50 does so only where the last axis is
-    # longer and otherwise splits the prefixes into tiles.
+    # The scan takes _CHUNK // 8 prefix rows per tile: the default holds
+    # every prefix row, a chunk of 5 puts each row in a tile of its own and
+    # one of 50 six rows in a tile.
     for chunk in (oracle._CHUNK, 5, 50):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert np.array_equal(grid_kkt_points(inst, k, eps), want)
@@ -397,6 +397,91 @@ def test_grid_kkt_points_exact_on_the_epsilon_boundary(kind, eps, monkeypatch):
     for chunk in (oracle._CHUNK, 5, 50):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert np.array_equal(grid_kkt_points(inst, k, eps), want)
+
+
+# Dyadic instances whose lattices hold gradients that land on -eps, where a
+# rounding step flips a hit.
+TILE_CASES = {
+    # Summed as one BLAS product per tile of points, the prefix term once
+    # rounded differently at a chunk of 5 and added (3, 6, 10) and
+    # (6, 7, 10).
+    "n3-grid10": (QuadraticInstance(n=3, constant=0, linear=[-0.5, -1, -1],
+                                    cross=[[0, 0, 0.25], [-0.5, 0, 0.5], [1, -0.5, 0]],
+                                    square=[-0.5, 0.75, -0.75], epsilon=0.25), 10, 0.25),
+    # A prefix term summed as one BLAS product over a tile's surviving rows
+    # drops a hit here at a chunk of 5.
+    "n4-grid10": (QuadraticInstance(n=4, constant=0, linear=[0.25, -0.125, -0.5, 0],
+                                    cross=[[0, 0, -0.5, -0.5], [-1, 0, 0.5, 0.625],
+                                           [-0.375, 0.125, 0, -0.625], [-0.375, -0.125, 0.375, 0]],
+                                    square=[0.875, -0.25, -0.75, -0.875], epsilon=0.375), 10, 0.375),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILE_CASES))
+def test_grid_kkt_points_is_tile_independent(case, monkeypatch):
+    # A row's gradient must not depend on how many rows share its tile.
+    q, k, eps = TILE_CASES[case]
+    want = grid_kkt_points(q, k, eps)
+    assert len(want) > 0
+    for chunk in (5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert np.array_equal(grid_kkt_points(q, k, eps), want)
+
+
+def _degenerate_quadratic(linear, cross, square, eps):
+    return QuadraticInstance(n=len(linear), constant=0, linear=linear, cross=cross,
+                             square=square, epsilon=max(eps, 0.01))
+
+
+# (instance, grid, epsilon).  The last coordinate's slope S[last, i] is
+# ``cross[last, i] + cross[i, last]`` off the diagonal and 2 * square[last]
+# on it.
+DEGENERATE_KKT_CASES = {
+    # No interior digit, and one.
+    "grid-1": (_degenerate_quadratic([0.3, -0.6, 0.1], random_cross(np.random.default_rng(7), 3),
+                                     [0.4, -0.2, 0.7], 0.5), 1, 0.5),
+    "grid-2": (MinmaxIndInstance(n_x=2, n_y=1, alpha=0, beta=[0.2, -0.4], gamma=[[0, 0.3], [-0.1, 0]],
+                                 zeta=[0.1], theta=[[0.6], [-0.3]], epsilon=0.4), 2, 0.4),
+    # An empty prefix with a falling gradient.
+    "dims-1": (_degenerate_quadratic([0.3], [[0]], [-0.35], 0.05), 30, 0.05),
+    # The last coordinate is y_1, so S[3] = (theta[0, 1], theta[1, 1], 0, 0):
+    # slopes of -0.0, a negative one and exactly 0.
+    "signed-zero-slopes": (MinmaxIndInstance(n_x=2, n_y=2, alpha=0, beta=[0.15, -0.1],
+                                             gamma=[[0, 0.3], [0.1, 0]], zeta=[0.2, -0.05],
+                                             theta=[[0.4, -0.0], [-0.2, -0.35]], epsilon=0.2), 9, 0.2),
+    # Only exact zero gradients pass inside: dyadic, so every gradient is exact.
+    "epsilon-0": (_degenerate_quadratic([-0.5, 0.25, 0.5], [[0, 0.5, -0.25], [0, 0, 0.5], [0.25, 0, 0]],
+                                        [0.25, -0.5, -0.25], 0.0), 8, 0.0),
+    # Slopes of 1e-300 put the first guesses' quotients out of range.
+    "slope-1e-300": (_degenerate_quadratic([-0.2, 0.2], [[0, 1e-300], [0, 0]], [0.25, 5e-301], 0.2), 30, 0.2),
+    # A slope of 2e-17 along the last coordinate moves x_0's gradient, 0.2
+    # = eps, by at most one rounding step, from v = 0.7 on; the first guess
+    # puts that step past v = 1, so the walk runs 10 digits back.
+    "slope-one-rounding-step": (_degenerate_quadratic([0.2, 0], [[0, 2e-17], [0, 0]], [0, 0.05], 0.2),
+                                30, 0.2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE_KKT_CASES))
+def test_grid_kkt_points_degenerate_runs(case, monkeypatch):
+    inst, k, eps = DEGENERATE_KKT_CASES[case]
+    if case == "signed-zero-slopes":
+        assert inst.theta[0, 1] == 0.0 and np.signbit(inst.theta[0, 1]) and inst.theta[1, 1] < 0
+    want = definitional_kkt_points(inst, k, eps)
+    assert 0 < len(want) < (k + 1) ** want.shape[1]
+    for chunk in (oracle._CHUNK, 5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert np.array_equal(grid_kkt_points(inst, k, eps), want)
+
+
+@pytest.mark.parametrize("eps", [-0.1, float("nan")])
+def test_kkt_scans_reject_a_negative_or_nan_epsilon(eps):
+    q = QuadraticInstance(n=1, constant=0, linear=[0], cross=[[0]], square=[1], epsilon=1.0 / 13.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        grid_kkt_points(q, 10, eps)
+    m, _ = reduce_stage1(q)
+    with pytest.raises(ValueError, match="epsilon"):
+        stage1_kkt_grid_scan(m, 10, eps)
 
 
 def stage1_direct(m, k, eps):

@@ -175,18 +175,7 @@ def cmd_reduce(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         _write_json(args.out, game_core.game_to_dict(game, structure))
-        _write_json(
-            params_path,
-            {
-                "stage": "full",
-                "n": params.n,
-                "epsilon": params.epsilon,
-                "minmax_epsilon": params.minmax_epsilon,
-                "delta": params.delta,
-                "stage1": asdict(params.stage1),
-                "stage2": asdict(params.stage2),
-            },
-        )
+        _write_json(params_path, {"stage": "full", **asdict(params), "delta": params.delta})
     else:
         raise UsageError(f"unknown stage {args.stage!r}")
     print(f"wrote {args.out} and {params_path}")

@@ -21,13 +21,11 @@ coordinate is monotone along the last axis, so its passing last digits
 form one run, whose ends it finds from an arithmetic guess and a walk that
 compares the gradient itself.  Its per-row terms are summed term by term,
 so its hits do not depend on the tile.  The stage-1 scan counts KKT cells
-per index as matrix products of 0/1 pass tables, one per variable and
-digit case (0, interior or k), over tiles of y digits: for n = 1 it
-contracts x' per case block, for n = 2 the (y, x') axis per x case.  Each
-float32 product adds up far fewer than 2^24 cells, so the counts are
-exact.  Each regret, minimax or stage-1 scan call owns its tile-sized
-workspaces, replaced only when the tile shape changes.  No scan calls the
-point-wise verifiers.
+per index with the same runs: along y_i each variable's conditions pass
+one run of digits, so a cell count is the length of three runs'
+intersection, in integers.  Each regret or minimax scan call owns its
+tile-sized workspaces, replaced only when the tile shape changes.  No scan
+calls the point-wise verifiers.
 """
 
 from __future__ import annotations
@@ -276,6 +274,12 @@ def _check_epsilon(epsilon) -> float:
     return eps
 
 
+def _count_dtype(k: int):
+    """The smallest signed integer type that holds k + 2: a digit count
+    runs over 0..k + 1 and a walk reads ``ext`` one past it."""
+    return np.min_scalar_type(-(k + 3))
+
+
 def _digits_below(ext, slope, base, bound) -> np.ndarray:
     """Per row, how many digits d have ``vals[d] * slope + base < bound``.
 
@@ -284,23 +288,29 @@ def _digits_below(ext, slope, base, bound) -> np.ndarray:
     rounding is monotone, so these digits are a prefix of 0..k: the count
     is the first digit whose gradient reaches the bound (k + 1 when none
     does).  The first guess solves the real-valued crossing ``(bound -
-    base) / slope``; a walk then compares the gradient expression itself
-    below and at each row's count and steps toward the boundary until it is
-    exact.  A row never turns back, so it takes at most k + 1 steps however
-    far off its guess was (a tiny slope throws the guess to an end).
+    base) / slope``; every row tests it, then the rows that moved walk,
+    comparing the gradient expression itself below and at their count and
+    stepping toward the boundary until it is exact.  A row never turns
+    back, so it takes at most k + 1 steps however far off its guess was (a
+    tiny slope throws the guess to an end).
     """
     k = len(ext) - 3
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        guess = np.ceil((bound - base) / slope * k)
-    count = np.fmin(np.fmax(guess, 0), k + 1).astype(np.int64)
-    rows = np.arange(len(count))
-    while len(rows):
-        at, b, B = count[rows], base[rows], bound[rows]
+
+    def step(at, b, B):
         # ext[at] is digit at - 1 and ext[at + 1] digit at; the NaN past
         # either end compares false, so no count leaves 0..k + 1.
-        step = (ext[at + 1] * slope + b < B).view(np.int8) - (ext[at] * slope + b >= B).view(np.int8)
-        count[rows] += step
-        rows = rows[step != 0]
+        return (ext[at + 1] * slope + b < B).view(np.int8) - (ext[at] * slope + b >= B).view(np.int8)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        guess = np.ceil((bound - base) / slope * k)
+    count = np.fmin(np.fmax(guess, 0), k + 1).astype(_count_dtype(k))
+    moved = step(count, base, bound)
+    count += moved
+    rows = np.flatnonzero(moved)
+    while len(rows):
+        moved = step(count[rows], base[rows], bound[rows])
+        count[rows] += moved
+        rows = rows[moved != 0]
     return count
 
 
@@ -316,8 +326,8 @@ def _digit_run(ext, slope, base, low, high):
     """
     k = len(ext) - 3
     if slope == 0:
-        inside = (base >= low) & (base <= high)
-        return np.where(inside, 0, k + 1), np.full(len(base), k + 1)
+        stop = np.full(len(base), k + 1, dtype=_count_dtype(k))
+        return np.where((base >= low) & (base <= high), 0, stop), stop
     if slope < 0:
         # -(v * s + b) is exactly v * (-s) + (-b): walk a rising gradient.
         slope, base, low, high = -slope, -base, -high, -low
@@ -446,25 +456,24 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     Index i's table ``C[s, x]`` counts the (x'_i, y_i) lattice cells that
     complete x_i = x to a KKT cell of the index, where s is the other
     index's x value (one row when n = 1).  Each variable's condition
-    depends only on whether its digit is 0, k or interior (its case c), so
-    three 0/1 pass tables cover every cell: ``Y[c, x, x']`` for y_i,
-    ``XP[c, x, y]`` for x'_i and ``X[c, s, y, x']`` for x_i, each read at
-    its own digit's case.  ``C[s, x]`` is the sum over (x', y) of their
-    product, taken as matrix products per case block over tiles of y
-    digits sized from ``_CHUNK``:
+    depends only on whether its digit is 0, k or interior (its case), and
+    along y_i every condition passes one run of digits:
 
-    - n = 1: per case block of x, x' and y, ``(Y @ X.T) * XP`` summed over
-      y contracts x' in BLAS;
-    - n = 2: per tile, ``T[x, y, x'] = Y and XP`` holds no s, so one
-      product ``X[c] @ T[rows].T`` over the flattened (y, x') axis per
-      x case counts every s at once.
+    - x_i's gradient ``(s + d x') + t1 y`` is affine in y, so at each
+      (s, x') and case of x its passing y digits form one run
+      (``_digit_run``);
+    - so does x'_i's gradient ``(beta'_i + d x) + t2 y``, at each x and
+      case of x';
+    - y_i's gradient holds no y, so per (x, x') it passes every y digit,
+      digit 0 alone, digit k alone or none.
 
-    Each gradient keeps the expression of the point-wise KKT cases, so the
-    tables are exact; each float32 product adds up at most
-    ``max(k + 1, _CHUNK)`` cells, far below 2^24, and the tiles add up in
-    float64.
-    The KKT cells of the whole lattice over an x block number ``C0[0]``
-    when n = 1 and ``C0.T * C1`` when n = 2.
+    ``C[s, x]`` is the sum over x' of the length of the three runs'
+    intersection.  Rows of s are taken in tiles of at most ``_CHUNK``
+    (s, x, x') cells, or one row, and the x-runs are found per tile.  Each run boundary is
+    evaluated with the point-wise KKT cases' gradient expression, so the
+    counts are exact for those float gradients.  The KKT cells of the
+    whole lattice over an x block number ``C0[0]`` when n = 1 and
+    ``C0.T * C1`` when n = 2.
 
     Returns (projected, total): distinct x-block grid points admitting at
     least one full KKT extension (lexicographic order), and the total count
@@ -489,68 +498,48 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
 
     k = _grid_k(grid)
     eps = _check_epsilon(epsilon)
-    v = np.arange(k + 1, dtype=float) / k
-    # A variable's condition at digit 0, interior or k is row 0, 1 or 2 of
-    # passes(g); cases pairs each row with its block of digits (at k = 1 the
-    # interior block is empty and left out).
-    cases = [(c, slice(a, z)) for c, (a, z) in enumerate([(0, 1), (1, k), (k, k + 1)]) if a < z]
+    ext = np.full(k + 3, np.nan)
+    v = ext[1:-1]
+    np.divide(np.arange(k + 1), k, out=v)
+    # A digit's case is 0 at digit 0, 2 at digit k and 1 inside; case c
+    # passes a gradient g when low[c] <= g <= high[c].
+    case = np.ones(k + 1, dtype=np.intp)
+    case[0], case[k] = 0, 2
+    low, high = np.array([-eps, -eps, -np.inf]), np.array([np.inf, eps, eps])
 
-    def passes(g):
-        return np.stack([g >= -eps, np.abs(g) <= eps, g <= eps])
+    def runs(slope, base):
+        """Per digit d of a variable and entry b of base, the y run where
+        ``low[case[d]] <= v[y] * slope + b <= high[case[d]]``; shape (k + 1,
+        *base.shape)."""
+        size = base.size
+        ends = _digit_run(ext, slope, np.tile(base.ravel(), 3), low.repeat(size), high.repeat(size))
+        return [e.reshape((3,) + base.shape)[case] for e in ends]
 
+    rows = max(1, _CHUNK // (k + 1) ** 2)
     tables = []
     for i in range(n):
         t1, t2, di = theta[i, i], theta[n + i, i], gamma[i, n + i]
         # x_i's gradient starts at s: beta_i plus, when n = 2, the coupling
         # term of the other index's x value.
         s = np.array([beta[i]]) if n == 1 else beta[i] + (gamma[i, 1 - i] + gamma[1 - i, i]) * v
-        # Y[c, x, x']: y_i passes in case c.  y_i is a max variable, so its
-        # conditions are those of -gradient, which depends only on (x_i, x'_i).
-        Y = passes(-(zeta[i] + t1 * v[:, None] + t2 * v[None, :]))
-        # XP[c, x, y]: x'_i passes in case c; its gradient depends on (x_i, y_i).
-        XP = passes(beta[n + i] + di * v[:, None] + t2 * v[None, :])
-        # x_i's gradient is base[s, x'_i] + t1 * y_i.
-        base = s[:, None] + di * v
-        C = np.zeros((len(s), k + 1))
-        step = max(1, _CHUNK // (len(s) * (k + 1)))
-        height = None
-        for lo in range(0, k + 1, step):
-            hi = min(lo + step, k + 1)
-            if height != hi - lo:
-                height = hi - lo
-                g = np.empty((len(s), height, k + 1))
-                X = np.empty((3,) + g.shape, dtype=np.float32)
-                if n == 2:
-                    T = np.empty((k + 1, height, k + 1), dtype=np.float32)
-            # The y cases' blocks clipped to the tile, tile-local.
-            y_cases = [(c, slice(max(b.start, lo) - lo, min(b.stop, hi) - lo))
-                       for c, b in cases if b.start < hi and lo < b.stop]
-            # X[c, s, y, x']: x_i passes in case c, as passes(g) would say
-            # (|g| <= eps holds iff both one-sided bounds do).
-            np.add(base[:, None, :], t1 * v[lo:hi, None], out=g)
-            np.greater_equal(g, -eps, out=X[0])
-            np.less_equal(g, eps, out=X[2])
-            np.multiply(X[0], X[2], out=X[1])
-            XPt = XP[:, :, lo:hi]
-            if n == 1:
-                # Per case block of x, x' and y, the (x', y) cells of x
-                # number the row sums of (Y @ X.T) * XP.
-                for cy, by in y_cases:
-                    for cx, bx in cases:
-                        for cp, bp in cases:
-                            inner = Y[cy, bx, bp] @ X[cx, 0, by, bp].T
-                            C[0, bx] += np.einsum("xy,xy->x", inner, XPt[cp, bx, by])
-                continue
-            # T[x, y, x']: y_i and x'_i pass, each read at its own digit's
-            # case.  T holds no s, so one product per x case counts every s.
-            for cy, by in y_cases:
-                for cp, bp in cases:
-                    np.logical_and(Y[cy, :, None, bp], XPt[cp, :, by, None], out=T[:, by, bp])
-            width = height * (k + 1)
-            for cx, bx in cases:
-                C[:, bx] += X[cx].reshape(len(s), width) @ T[bx].reshape(-1, width).T
+        # y_i is a max variable, so its conditions are those of -gradient,
+        # g_y[x, x'].  It passes digit 0 when g_y >= -eps, digit k when
+        # g_y <= eps and the interior when both hold: the run [0 or k,
+        # k + 1 or 1), empty when g_y is NaN.
+        g_y = -(zeta[i] + t1 * v[:, None] + t2 * v[None, :])
+        # Per (x, x'), the y run passing x'_i and y_i.
+        first, stop = (e.T for e in runs(t2, beta[n + i] + di * v))
+        np.maximum(first, np.where(g_y >= -eps, 0, k), out=first)
+        np.minimum(stop, np.where(g_y <= eps, k + 1, 1), out=stop)
+        C = np.empty((len(s), k + 1), dtype=np.int64)
+        for lo in range(0, len(s), rows):
+            # Per (x, s, x'), the y run passing x_i as well.
+            f, t = runs(t1, s[lo:lo + rows, None] + di * v)
+            np.maximum(f, first[:, None, :], out=f)
+            np.minimum(t, stop[:, None, :], out=t)
+            np.subtract(t, f, out=t)
+            C[lo:lo + rows] = np.maximum(t, 0).sum(axis=2).T
         tables.append(C)
-    # Integer counts far below 2^53, so their products are exact too.
     table = tables[0][0] if n == 1 else tables[0].T * tables[1]
     hits = np.nonzero(table)
     projected = np.column_stack([v[h] for h in hits])

@@ -474,6 +474,23 @@ def test_grid_kkt_points_degenerate_runs(case, monkeypatch):
         assert np.array_equal(grid_kkt_points(inst, k, eps), want)
 
 
+@pytest.mark.parametrize("k", [32766, 32767, 40000])
+def test_grid_kkt_points_beyond_the_int16_range(k):
+    # Run ends reach k + 1 and the walk reads one digit past them, so the
+    # counts must not wrap at 2^15.  The gradient sign * (v - 1) passes
+    # from v = 0.999 on, rising for sign = 1 and falling for sign = -1.
+    for sign in (1.0, -1.0):
+        q = QuadraticInstance(n=1, constant=0, linear=[-sign], cross=[[0]], square=[0.5 * sign],
+                              epsilon=0.001)
+        vals = np.arange(k + 1) / k
+        g = vals * sign + (-sign + 0.0)
+        digits = np.arange(k + 1)
+        passes = np.where(digits == 0, g >= -0.001, np.where(digits == k, g <= 0.001, np.abs(g) <= 0.001))
+        want = vals[passes][:, None]
+        assert 30 < len(want) < k // 100
+        assert np.array_equal(grid_kkt_points(q, k, 0.001), want)
+
+
 @pytest.mark.parametrize("eps", [-0.1, float("nan")])
 def test_kkt_scans_reject_a_negative_or_nan_epsilon(eps):
     q = QuadraticInstance(n=1, constant=0, linear=[0], cross=[[0]], square=[1], epsilon=1.0 / 13.0)
@@ -540,6 +557,23 @@ def test_stage1_scan_on_degenerate_grids(n):
     assert with_cells >= 30
 
 
+def test_stage1_scan_matches_definitional_verifier():
+    # The direct enumeration above runs grid_kkt_points, which shares the
+    # run walk with the scan; here every lattice cell goes through
+    # verify_minmax_kkt instead.
+    rng = np.random.default_rng(16)
+    with_cells = 0
+    for n, grids in [(1, (7, 20)), (2, (2, 4))]:
+        for k in grids:
+            m, params = reduced_random_qp(rng, n)
+            for eps in (m.epsilon, 0.75 * params.T / k):
+                direct = definitional_kkt_points(m, k, eps)
+                want = np.unique(direct[:, :n], axis=0), len(direct)
+                with_cells += assert_stage1_matches_direct(m, k, eps, want) > 0
+    # At 0.75 T/k every lattice holds KKT cells.
+    assert with_cells >= 4
+
+
 def _stage1_boundary_instance(n, beta, gamma, zeta, theta):
     return MinmaxIndInstance(n_x=2 * n, n_y=n, alpha=0, beta=beta, gamma=gamma, zeta=zeta,
                              theta=theta, epsilon=0.25)
@@ -576,15 +610,57 @@ def test_stage1_scan_exact_on_the_epsilon_boundary(n, eps, monkeypatch):
         assert_stage1_matches_direct(m, k, eps, want)
 
 
-@pytest.mark.parametrize("n, k", [(1, 200), (1, 40), (1, 12), (2, 60), (2, 12)])
+def _stage1_slopes_instance(n, slopes, beta, gamma_x, zeta):
+    """A doubled-variable instance with (theta[i, i], theta[n + i, i],
+    gamma[i, n + i]) = slopes[i]: the y slopes of x_i's and x'_i's
+    gradients and the x' slope of x_i's."""
+    gamma, theta = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, n))
+    if n == 2:
+        gamma[0, 1] = gamma_x
+    for i, (t1, t2, d) in enumerate(slopes):
+        theta[i, i], theta[n + i, i], gamma[i, n + i] = t1, t2, d
+    return MinmaxIndInstance(n_x=2 * n, n_y=n, alpha=0, beta=beta, gamma=gamma, zeta=zeta,
+                             theta=theta, epsilon=0.25)
+
+
+# Zero and -0.0 slopes, which take the run walk's zero-slope branch, with
+# dyadic coefficients on grids of 1/8 (n = 1) and 1/4 (n = 2), checked
+# cell by cell with verify_minmax_kkt.
+STAGE1_ZERO_SLOPE_INSTANCES = {
+    "n1-x-flat-in-y": _stage1_slopes_instance(1, [(0.0, 0.5, -0.25)], [0.125, -0.25], 0, [0.25]),
+    "n1-x'-flat-in-y": _stage1_slopes_instance(1, [(-0.75, -0.0, 0.5)], [0.25, -0.125], 0, [0.5]),
+    "n1-all-flat": _stage1_slopes_instance(1, [(-0.0, 0.0, -0.0)], [0.5, 0.0], 0, [-0.25]),
+    "n2-mixed": _stage1_slopes_instance(2, [(-0.0, 0.5, 0.0), (0.75, 0.0, -0.0)],
+                                        [0.25, -0.125, -0.25, 0.125], 0.5, [0.25, -0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAGE1_ZERO_SLOPE_INSTANCES))
+def test_stage1_scan_zero_slopes(case, monkeypatch):
+    m, eps = STAGE1_ZERO_SLOPE_INSTANCES[case], 0.25
+    n = m.n_y
+    k = 8 if n == 1 else 4
+    slopes = np.concatenate([[m.theta[i, i], m.theta[n + i, i], m.gamma[i, n + i]] for i in range(n)])
+    assert np.any(slopes == 0.0)
+    direct = definitional_kkt_points(m, k, eps)
+    assert 0 < len(direct) < (k + 1) ** (3 * n)
+    want = np.unique(direct[:, :n], axis=0), len(direct)
+    for chunk in (oracle._CHUNK, 5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert_stage1_matches_direct(m, k, eps, want)
+
+
+@pytest.mark.parametrize("n, k", [(1, 200), (1, 40), (1, 12), (2, 60), (2, 12), (2, 4)])
 def test_stage1_scan_is_tile_independent(n, k, monkeypatch):
     m, params = reduced_random_qp(np.random.default_rng(k), n)
     eps = 0.75 * params.T / k
     projected, total = stage1_kkt_grid_scan(m, k, eps)
     assert total > 0
-    # The default chunk tiles y by 163 digits at (1, 200) and by 8 at
-    # (2, 60), a chunk of 50 by 3 at (1, 12); otherwise the chunks of 5 and
-    # 50 put every y digit in a tile of its own.
+    # A tile holds _CHUNK // (k + 1)^2 rows of s, at least one.  The
+    # default chunk takes them 8 at a time at (2, 60) and all at once at
+    # (2, 12) and (2, 4), a chunk of 50 two at a time at (2, 4) (tiles of
+    # 2, 2 and 1 rows); otherwise the chunks of 5 and 50 put every row in a
+    # tile of its own.  When n = 1, s has a single row.
     for chunk in (5, 50):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         got_projected, got_total = stage1_kkt_grid_scan(m, k, eps)

@@ -190,11 +190,6 @@ def cmd_solve(args) -> int:
     game, structure = _load_game(args.game)
     if structure is None:
         raise UsageError("game file carries no teams block")
-    if not structure.independent_adversaries:
-        raise UsageError(
-            "unsupported: adversary-adversary edges (no teams.independent flag); "
-            "only independent adversaries are in scope"
-        )
     try:
         profile, report = membership_solver.solve(
             game, structure, epsilon=args.epsilon, seed=args.seed, trace_path=args.trace

@@ -4,15 +4,16 @@ A textbook two-phase tableau simplex with Bland's anti-cycling rule.
 Problem sizes here are tiny (multiplier extraction and oracle checks), so
 correctness and determinism dominate speed.  Maximization form:
 
-    max  c.z   s.t.   G z <= h,   Aeq z = beq,   per-variable bounds.
+    max  c.z   s.t.   G z <= h,   Aeq z = beq,   each z_i >= 0 or free.
 
-Bounds default to (0, None).  Free and upper-bounded variables are
-rewritten into nonnegative ones internally.
+Bounds default to (0, None).  A free variable is split internally into
+the difference of two nonnegative columns; an upper bound is an
+inequality row like any other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +36,8 @@ class LinearProgram:
     ineq_rhs: np.ndarray | None = None
     eq_matrix: np.ndarray | None = None
     eq_rhs: np.ndarray | None = None
-    bounds: list | None = None  # per-variable (lo, hi); None side = unbounded
+    # Per-variable (lo, hi): (0, None) for z_i >= 0, (None, None) for free.
+    bounds: list | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -62,6 +64,9 @@ class LinearProgram:
             or len(self.bounds) != n
         ):
             raise ValueError("inconsistent LP shapes")
+        for i, (lo, hi) in enumerate(self.bounds):
+            if hi is not None or (lo is not None and lo != 0):
+                raise ValueError(f"variable {i}: bounds must be (0, None) or (None, None)")
         for arr in (self.objective, self.ineq_matrix, self.ineq_rhs, self.eq_matrix, self.eq_rhs):
             if not np.isfinite(arr).all():
                 raise ValueError("LP data must be finite")
@@ -76,58 +81,25 @@ class LPOutcome:
     status: str
     solution: np.ndarray | None = None
     value: float | None = None
-    # One dual per user inequality row followed by one per equality row.
-    dual_values: np.ndarray | None = None
 
 
 def _transform(lp: LinearProgram):
-    """Rewrite onto nonnegative internal variables u with x = offsets + S u.
+    """Rewrite onto nonnegative internal variables u with x = S u.
 
-    Returns (c_t, G_t, h_t, A_t, b_t, col_map, offsets) where col_map
-    holds (original var, sign) per internal column, that is the columns
-    of S, and G_t appends one extra row per two-sided bound.
+    Returns (c_t, G_t, A_t, var, sign): internal column c stands for
+    ``sign[c]`` times variable ``var[c]`` (a column of S).  A free
+    variable gets two columns, of signs +1 and -1.
     """
-    n = lp.num_vars
-    offsets = np.zeros(n)
-    col_map = []           # (var, sign)
-    extra_rows = []        # (column, rhs) meaning u_col <= rhs
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and hi is not None and hi < lo:
-            raise ValueError(f"variable {i} has empty bound interval")
-        if lo is not None:
-            offsets[i] = lo
-            col_map.append((i, 1.0))
-            if hi is not None:
-                extra_rows.append((len(col_map) - 1, hi - lo))
-        elif hi is not None:
-            offsets[i] = hi
-            col_map.append((i, -1.0))
-        else:
-            col_map.append((i, 1.0))
-            col_map.append((i, -1.0))
-
-    nu = len(col_map)
-
-    def expand(mat):
-        out = np.zeros((mat.shape[0], nu))
-        for col, (var, sign) in enumerate(col_map):
-            out[:, col] = sign * mat[:, var]
-        return out
-
-    G_t = expand(lp.ineq_matrix)
-    h_t = lp.ineq_rhs - lp.ineq_matrix @ offsets
-    if extra_rows:
-        bound_block = np.zeros((len(extra_rows), nu))
-        bound_rhs = np.zeros(len(extra_rows))
-        for r, (col, rhs) in enumerate(extra_rows):
-            bound_block[r, col] = 1.0
-            bound_rhs[r] = rhs
-        G_t = np.vstack([G_t, bound_block])
-        h_t = np.concatenate([h_t, bound_rhs])
-    A_t = expand(lp.eq_matrix)
-    b_t = lp.eq_rhs - lp.eq_matrix @ offsets
-    c_t = np.array([sign * lp.objective[var] for (var, sign) in col_map])
-    return c_t, G_t, h_t, A_t, b_t, col_map, offsets
+    var, sign = [], []
+    for i, (lo, _) in enumerate(lp.bounds):
+        var.append(i)
+        sign.append(1.0)
+        if lo is None:
+            var.append(i)
+            sign.append(-1.0)
+    var, sign = np.array(var, dtype=np.intp), np.array(sign)
+    return (lp.objective[var] * sign, lp.ineq_matrix[:, var] * sign,
+            lp.eq_matrix[:, var] * sign, var, sign)
 
 
 def _pivot(T, basis, row, col):
@@ -186,26 +158,21 @@ def solve_lp(lp: LinearProgram) -> LPOutcome:
     returned optimal solution is re-checked for feasibility before being
     reported.
     """
-    c_t, G_t, h_t, A_t, b_t, col_map, offsets = _transform(lp)
-    nu = len(col_map)
+    c_t, G_t, A_t, var, sign = _transform(lp)
+    nu = len(var)
     m1, m2 = G_t.shape[0], A_t.shape[0]
     m = m1 + m2
 
     # Column layout: internal vars | slacks | artificials (one per row).
     M = np.zeros((m, nu + m1 + m))
-    d = np.concatenate([h_t, b_t])
+    d = np.concatenate([lp.ineq_rhs, lp.eq_rhs])
     M[:m1, :nu] = G_t
     M[m1:, :nu] = A_t
-    for r in range(m1):
-        M[r, nu + r] = 1.0
-    signs = np.ones(m)
-    for r in range(m):
-        if d[r] < 0:
-            signs[r] = -1.0
-            M[r] *= -1.0
-            d[r] = -d[r]
-    for r in range(m):
-        M[r, nu + m1 + r] = 1.0
+    M[range(m1), range(nu, nu + m1)] = 1.0
+    negative = d < 0
+    M[negative] *= -1.0
+    d[negative] *= -1.0
+    M[range(m), range(nu + m1, nu + m1 + m)] = 1.0
 
     T = np.hstack([M, d[:, None]])
     basis = [nu + m1 + r for r in range(m)]
@@ -249,9 +216,9 @@ def solve_lp(lp: LinearProgram) -> LPOutcome:
     for r in range(m):
         if r not in dead_rows:
             u[basis[r]] = T[r, -1]
-    x = offsets.copy()
-    for col, (var, sign) in enumerate(col_map):
-        x[var] += sign * u[col]
+    # np.add.at, not x[var] +=, so that both columns of a free variable count.
+    x = np.zeros(lp.num_vars)
+    np.add.at(x, var, sign * u[:nu])
 
     # Defensive feasibility check: a stale tableau must not masquerade as
     # an optimum.
@@ -259,26 +226,10 @@ def solve_lp(lp: LinearProgram) -> LPOutcome:
         return LPOutcome(status=NUMERICAL_FAILURE)
     if len(lp.eq_rhs) and np.abs(lp.eq_matrix @ x - lp.eq_rhs).max() > 1e-7:
         return LPOutcome(status=NUMERICAL_FAILURE)
-    for i, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and x[i] < lo - 1e-7:
-            return LPOutcome(status=NUMERICAL_FAILURE)
-        if hi is not None and x[i] > hi + 1e-7:
-            return LPOutcome(status=NUMERICAL_FAILURE)
+    if any(lo is not None and x[i] < -1e-7 for i, (lo, _) in enumerate(lp.bounds)):
+        return LPOutcome(status=NUMERICAL_FAILURE)
 
-    # Duals through the artificial columns, which hold B^-1 of each row.
-    y_int = np.array(
-        [phase2_costs[basis] @ T[:, nu + m1 + r] for r in range(m)]
-    )
-    y_rows = -signs * y_int
-    n_user_ineq = lp.ineq_matrix.shape[0]
-    dual_values = np.concatenate([y_rows[:n_user_ineq], y_rows[m1:]])
-
-    return LPOutcome(
-        status=OPTIMAL,
-        solution=x,
-        value=float(lp.objective @ x),
-        dual_values=dual_values,
-    )
+    return LPOutcome(status=OPTIMAL, solution=x, value=float(lp.objective @ x))
 
 
 def find_feasible(lp: LinearProgram) -> LPOutcome:
@@ -286,12 +237,4 @@ def find_feasible(lp: LinearProgram) -> LPOutcome:
 
     Pure phase-one run: the objective is replaced by zero.
     """
-    probe = LinearProgram(
-        objective=np.zeros(lp.num_vars),
-        ineq_matrix=lp.ineq_matrix.copy() if lp.ineq_matrix.size else None,
-        ineq_rhs=lp.ineq_rhs.copy() if lp.ineq_rhs.size else None,
-        eq_matrix=lp.eq_matrix.copy() if lp.eq_matrix.size else None,
-        eq_rhs=lp.eq_rhs.copy() if lp.eq_rhs.size else None,
-        bounds=list(lp.bounds),
-    )
-    return solve_lp(probe)
+    return solve_lp(replace(lp, objective=np.zeros(lp.num_vars)))

@@ -23,9 +23,7 @@ compares the gradient itself.  Its per-row terms are summed term by term,
 so its hits do not depend on the tile.  The stage-1 scan counts KKT cells
 per index with the same runs: along y_i each variable's conditions pass
 one run of digits, so a cell count is the length of three runs'
-intersection, in integers.  Each regret or minimax scan call owns its
-tile-sized workspaces, replaced only when the tile shape changes.  No scan
-calls the point-wise verifiers.
+intersection, in integers.  No scan calls the point-wise verifiers.
 """
 
 from __future__ import annotations
@@ -47,13 +45,13 @@ from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 DEFAULT_BUDGET = 10_000_000
 # Points per scan tile (the KKT-lattice scan takes _CHUNK / 8 prefix rows
-# per tile).  Each scan call allocates its tile buffers once per tile
-# shape.  On a 2-vCPU host, in 10 alternating runs of the benchmark's
+# per tile).  On a 2-vCPU host, in 10 alternating runs of the benchmark's
 # oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%, 10/10) and
 # on peak RSS (-10%) with the tail latency flat; tiles of 2^20 ran the mix
 # about 25% slower than 2^16.
 _CHUNK = 1 << 15
-# Constraint rows, bounds included, that enumerate_lp_vertices accepts.
+# Constraint rows that enumerate_lp_vertices accepts, counting the row
+# x_i >= 0 of each nonnegative variable.
 VERTEX_ROW_LIMIT = 12
 
 
@@ -142,18 +140,17 @@ def _prefix_tiles(sizes):
             yield prefix, lo, min(lo + block, last)
 
 
-def _max_product(L, R, prod, out):
-    """Write the maximum over actions a of ``L[:, a].T @ R`` into ``out``.
+def _max_product(L, R):
+    """The maximum over actions a of ``L[:, a].T @ R``, as a fresh (T, B) array.
 
     ``L`` is (K, m, T), action a's T rows of width K stored column-major so
-    that they are built along T; ``R`` is (K, B); ``prod`` is a workspace
-    of B columns and at least m * T rows.  One matmul covers all m * T rows
-    (BLAS reads the F-ordered view without a copy), then a running maximum
-    takes m slabs.
+    that they are built along T; ``R`` is (K, B).  One matmul covers all
+    m * T rows (BLAS reads the F-ordered view without a copy), then a
+    running maximum takes m slabs; that is faster than ``.max(axis=0)``.
     """
     width, m, rows = L.shape
-    slabs = np.matmul(L.reshape(width, m * rows).T, R, out=prod[: m * rows]).reshape(m, rows, -1)
-    np.maximum(slabs[0], slabs[-1], out=out)
+    slabs = (L.reshape(width, m * rows).T @ R).reshape(m, rows, -1)
+    out = np.maximum(slabs[0], slabs[-1])
     for slab in slabs[1:-1]:
         np.maximum(out, slab, out=out)
     return out
@@ -194,7 +191,6 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
     R = {i: np.vstack([np.ones(sizes[last]), game.payoff(i, last) @ grids[last]])
          for i in range(last) if game.has_edge(i, last)}
     R_last = np.vstack([np.ones(sizes[last]), -grids[last]])
-    widest = max([counts[i] for i in R], default=1)
 
     def payoff_rows(i, prefix):
         pre = np.zeros((counts[i], len(prefix)))
@@ -202,11 +198,7 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
             pre += cols.take(prefix[:, j], axis=1)
         return pre
 
-    shape = None
     for prefix, lo, hi in _prefix_tiles(sizes):
-        if shape != (len(prefix), hi - lo):
-            shape = (len(prefix), hi - lo)
-            regret, prod = np.empty(shape), np.empty((widest * shape[0], shape[1]))
         pre = payoff_rows(last, prefix)
         max_regret = np.vstack([functools.reduce(np.maximum, pre), pre]).T @ R_last[:, lo:hi]
         row_regret = np.zeros(len(prefix))
@@ -219,7 +211,7 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
             L = np.empty((1 + counts[i], counts[i], len(prefix)))
             np.subtract(pre, achieved, out=L[0])
             np.subtract(np.eye(counts[i])[:, :, None], x[:, None, :], out=L[1:])
-            np.maximum(max_regret, _max_product(L, R[i][:, lo:hi], prod, regret), out=max_regret)
+            np.maximum(max_regret, _max_product(L, R[i][:, lo:hi]), out=max_regret)
         np.maximum(max_regret, row_regret[:, None], out=max_regret)
         digits = np.empty((last + 1, len(prefix), hi - lo), dtype=np.int64)
         digits[:last] = prefix.T[:, :, None]
@@ -589,23 +581,17 @@ def enumerate_lp_vertices(lp: LinearProgram) -> VertexEnumeration:
     """Enumerate basic solutions, filter feasible ones, return the best.
 
     Combinatorial oracle for solve_lp.  Unboundedness is certified with a
-    recession direction found along basis edges.  Assumes a pointed
-    feasible region (every variable bounded on at least one side), which
-    the random-LP tests guarantee; a feasible region without vertices is
-    reported as infeasible.  More than ``VERTEX_ROW_LIMIT`` constraint rows
+    recession direction found along basis edges.  Each nonnegative
+    variable adds the row -x_i <= 0.  Assumes a pointed feasible region,
+    as in the random-LP tests, whose variables are all nonnegative; a
+    feasible region without vertices is reported as infeasible.  More
+    than ``VERTEX_ROW_LIMIT`` constraint rows, those bound rows included,
     raise GridBudgetError.
     """
     n = lp.num_vars
-    rows, rhs = list(lp.ineq_matrix), list(lp.ineq_rhs)
-    for i, (lo, hi) in enumerate(lp.bounds):
-        for sign, bound in ((-1.0, lo), (1.0, hi)):
-            if bound is not None:
-                e = np.zeros(n)
-                e[i] = sign
-                rows.append(e)
-                rhs.append(sign * bound)
-    ineq = np.array(rows).reshape(-1, n)
-    ineq_rhs = np.array(rhs)
+    lower = [i for i, (lo, _) in enumerate(lp.bounds) if lo is not None]
+    ineq = np.vstack([lp.ineq_matrix, -np.eye(n)[lower]])
+    ineq_rhs = np.concatenate([lp.ineq_rhs, np.zeros(len(lower))])
     eq = lp.eq_matrix
     eq_rhs = lp.eq_rhs
     total = ineq.shape[0] + eq.shape[0]
@@ -713,16 +699,16 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     P = {(a, b): game.payoff(xs[a], xs[b]).T @ grids[a] for (a, b) in pairs}
 
     best = np.inf
-    shape = None
+    rows = None
     for digits, lo, hi in _prefix_tiles(sizes):
-        if shape != (len(digits), hi - lo):
-            shape = (len(digits), hi - lo)
-            value, best_j = np.empty((2,) + shape)
-            prod = np.empty((max(ys.values()) * shape[0], shape[1]))
+        # L[j] holds an identity block below its per-prefix rows; rebuilt
+        # only when the number of prefix rows changes.
+        if rows != len(digits):
+            rows = len(digits)
             L = {}
             for j, m in ys.items():
                 lead = 1 + m_last * (j == first)
-                L[j] = np.zeros((lead + m, m, shape[0]))
+                L[j] = np.zeros((lead + m, m, rows))
                 L[j][lead:] = np.eye(m)[:, :, None]
         base, coef = np.zeros(len(digits)), np.zeros((m_last, len(digits)))
         for (a, b) in pairs:
@@ -738,8 +724,8 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
             for t in range(last):
                 A += W[j][t].take(digits[:, t], axis=1)
             if j == first:
-                _max_product(L[j], R[j][:, lo:hi], prod, value)
+                value = _max_product(L[j], R[j][:, lo:hi])
             else:
-                value += _max_product(L[j], R[j][:, lo:hi], prod, best_j)
+                value += _max_product(L[j], R[j][:, lo:hi])
         best = min(best, float(value.min()))
     return best

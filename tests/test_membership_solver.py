@@ -18,6 +18,7 @@ from twoteam.instances import (
 from twoteam import lp_solver, membership_solver
 from twoteam.membership_solver import (
     NUM_COVERS,
+    MultiplierExtractionError,
     SolverError,
     build_dual_program,
     certificate_violation,
@@ -159,6 +160,15 @@ def test_extract_multipliers_matching_pennies():
     assert cert.mu[0].sum() == pytest.approx(1.0, abs=1e-9)
     assert cert.mu[0] == pytest.approx([0.5, 0.5], abs=1e-6)
     assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-6
+
+
+def test_extract_multipliers_fails_away_from_kkt_point():
+    # At x = [0.9, 0.1] only one adversary action is a best reply, and its
+    # payoff gradient in x is not constant, so no multipliers balance it.
+    g, s = matching_pennies()
+    prog = build_dual_program(g, s)
+    with pytest.raises(MultiplierExtractionError):
+        extract_multipliers(prog, [np.array([0.9, 0.1])], np.zeros(1))
 
 
 def test_extract_multipliers_no_edges_returns_vertex():

@@ -689,7 +689,7 @@ def test_finite_diff_examples():
 
 
 def test_enumerate_lp_vertices_examples():
-    lp = LinearProgram(objective=[1, 1], bounds=[(0, 1), (0, 1)])
+    lp = LinearProgram(objective=[1, 1], ineq_matrix=np.eye(2), ineq_rhs=[1, 1])
     out = enumerate_lp_vertices(lp)
     assert out.status == OPTIMAL
     assert out.vertex == pytest.approx([1.0, 1.0])

@@ -46,24 +46,12 @@ def _read_json(path: str) -> dict:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_instance(path: str):
+def _load(path: str, parse):
+    """``parse`` applied to the JSON file at ``path``; a malformed file is a usage error."""
+    data = _read_json(path)
     try:
-        return instances.instance_from_dict(_read_json(path))
+        return parse(data)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _load_game(path: str):
-    try:
-        return game_core.game_from_dict(_read_json(path))
-    except (ValueError, game_core.StructuralError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _load_profile(path: str):
-    try:
-        return game_core.profile_from_dict(_read_json(path))
-    except (ValueError, game_core.StructuralError) as exc:
         raise UsageError(str(exc)) from exc
 
 
@@ -71,73 +59,20 @@ def _load_profile(path: str):
 # gen
 
 
-def _random_quadratic(n: int, epsilon: float, rng) -> instances.QuadraticInstance:
-    cross = rng.uniform(-1.0, 1.0, size=(n, n))
-    np.fill_diagonal(cross, 0.0)
-    return instances.QuadraticInstance(
-        n=n,
-        constant=float(rng.uniform(-1.0, 1.0)),
-        linear=rng.uniform(-1.0, 1.0, size=n),
-        cross=cross,
-        square=rng.uniform(-1.0, 1.0, size=n),
-        epsilon=epsilon,
-    )
-
-
-def _random_minmax(n_x: int, n_y: int, epsilon: float, rng) -> instances.MinmaxIndInstance:
-    gamma = rng.uniform(-1.0, 1.0, size=(n_x, n_x))
-    np.fill_diagonal(gamma, 0.0)
-    return instances.MinmaxIndInstance(
-        n_x=n_x,
-        n_y=n_y,
-        alpha=float(rng.uniform(-1.0, 1.0)),
-        beta=rng.uniform(-1.0, 1.0, size=n_x),
-        gamma=gamma,
-        zeta=rng.uniform(-1.0, 1.0, size=n_y),
-        theta=rng.uniform(-1.0, 1.0, size=(n_x, n_y)),
-        epsilon=epsilon,
-    )
-
-
-def _random_two_team(n_x: int, n_y: int, m: int, independent: bool, rng):
-    game = game_core.PolymatrixGame([m] * (n_x + n_y))
-    xs = list(range(n_x))
-    ys = list(range(n_x, n_x + n_y))
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            mat = rng.uniform(-1.0, 1.0, size=(m, m))
-            game.add_edge(xs[a], xs[b], mat, mat.T)
-    for i in xs:
-        for j in ys:
-            mat = rng.uniform(-1.0, 1.0, size=(m, m))
-            game.add_edge(i, j, mat, -mat.T)
-    if not independent:
-        for a in range(len(ys)):
-            for b in range(a + 1, len(ys)):
-                mat = rng.uniform(-1.0, 1.0, size=(m, m))
-                game.add_edge(ys[a], ys[b], mat, mat.T)
-    structure = game_core.TwoTeamStructure(
-        team_x=tuple(xs), team_y=tuple(ys), independent_adversaries=independent
-    )
-    return game, structure
-
-
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.kind == "quadratic":
-        inst = _random_quadratic(args.n, args.epsilon, rng)
+        inst = instances.random_quadratic(args.n, args.epsilon, rng)
         _write_json(args.out, instances.instance_to_dict(inst))
     elif args.kind == "minmax":
         n_x = args.nx if args.nx is not None else args.n
         n_y = args.ny if args.ny is not None else args.n
-        inst = _random_minmax(n_x, n_y, args.epsilon, rng)
+        inst = instances.random_minmax(n_x, n_y, args.epsilon, rng)
         _write_json(args.out, instances.instance_to_dict(inst))
     elif args.kind == "two-team":
         n_x = args.nx if args.nx is not None else args.n
         n_y = args.ny if args.ny is not None else args.n
-        game, structure = _random_two_team(n_x, n_y, args.m, args.independent, rng)
-        report = game_core.validate_two_team(game, structure)
-        assert report.passed
+        game, structure = game_core.random_two_team(n_x, n_y, args.m, args.independent, rng)
         _write_json(args.out, game_core.game_to_dict(game, structure))
     else:
         raise UsageError(f"unknown kind {args.kind!r}")
@@ -150,7 +85,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    inst = _load_instance(args.infile)
+    inst = _load(args.infile, instances.instance_from_dict)
     params_path = args.params or (args.out + ".params.json")
     if args.stage == "1":
         if not isinstance(inst, instances.QuadraticInstance):
@@ -187,7 +122,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    game, structure = _load_game(args.game)
+    game, structure = _load(args.game, game_core.game_from_dict)
     if structure is None:
         raise UsageError("game file carries no teams block")
     try:
@@ -220,8 +155,8 @@ def cmd_verify(args) -> int:
     if args.kind == "nash":
         if not args.game or not args.profile:
             raise UsageError("verify nash needs --game and --profile")
-        game, _ = _load_game(args.game)
-        profile = _load_profile(args.profile)
+        game, _ = _load(args.game, game_core.game_from_dict)
+        profile = _load(args.profile, game_core.profile_from_dict)
         try:
             report = game_core.verify_epsilon_nash(game, profile, args.epsilon)
         except game_core.StructuralError as exc:
@@ -233,7 +168,7 @@ def cmd_verify(args) -> int:
 
     if not args.instance or not args.point:
         raise UsageError("verify kkt needs --instance and --point")
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, instances.instance_from_dict)
     if args.kind == "min-kkt" and not isinstance(inst, instances.QuadraticInstance):
         raise UsageError("min-kkt expects a quadratic instance")
     if args.kind == "minmax-kkt" and not isinstance(inst, instances.MinmaxIndInstance):
@@ -264,7 +199,7 @@ def cmd_oracle(args) -> int:
     if args.task == "min-regret":
         if not args.game:
             raise UsageError("oracle min-regret needs --game")
-        game, _ = _load_game(args.game)
+        game, _ = _load(args.game, game_core.game_from_dict)
         profile, regret = oracle.grid_min_regret_profile(game, args.grid, budget=args.budget)
         print(json.dumps(game_core.profile_to_dict(profile)))
         print(f"max regret {regret:.6e}")
@@ -272,7 +207,7 @@ def cmd_oracle(args) -> int:
     if args.task == "kkt-grid":
         if not args.instance:
             raise UsageError("oracle kkt-grid needs --instance")
-        inst = _load_instance(args.instance)
+        inst = _load(args.instance, instances.instance_from_dict)
         pts = oracle.grid_kkt_points(inst, args.grid, args.epsilon, budget=args.budget)
         print(f"{len(pts)} grid points pass at epsilon {args.epsilon}")
         for p in pts[:50]:
@@ -283,7 +218,7 @@ def cmd_oracle(args) -> int:
     if args.task == "minimax":
         if not args.game:
             raise UsageError("oracle minimax needs --game")
-        game, structure = _load_game(args.game)
+        game, structure = _load(args.game, game_core.game_from_dict)
         if structure is None:
             raise UsageError("game file carries no teams block")
         try:

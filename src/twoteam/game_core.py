@@ -10,6 +10,7 @@ property of a game, not a constraint of the representation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,12 +123,33 @@ class TwoTeamStructure:
     def __post_init__(self):
         object.__setattr__(self, "team_x", tuple(sorted(int(i) for i in self.team_x)))
         object.__setattr__(self, "team_y", tuple(sorted(int(i) for i in self.team_y)))
+        if len(set(self.team_x)) < len(self.team_x) or len(set(self.team_y)) < len(self.team_y):
+            raise StructuralError("a team lists a player twice")
         if set(self.team_x) & set(self.team_y):
             raise StructuralError("teams must be disjoint")
 
     def check_partition(self, game: PolymatrixGame) -> None:
         if set(self.team_x) | set(self.team_y) != set(range(game.num_players)):
             raise StructuralError("teams must partition the player set")
+
+
+def random_two_team(n_x: int, n_y: int, m: int, independent: bool, rng):
+    """A two-team game of m-action players with payoffs uniform on [-1, 1].
+
+    Draws team X's coordination edges, then the zero-sum cross edges, then
+    (unless ``independent``) team Y's coordination edges.  Returns (game,
+    structure).
+    """
+    game = PolymatrixGame([m] * (n_x + n_y))
+    xs, ys = range(n_x), range(n_x, n_x + n_y)
+    blocks = [(itertools.combinations(xs, 2), 1.0), (itertools.product(xs, ys), -1.0)]
+    if not independent:
+        blocks.append((itertools.combinations(ys, 2), 1.0))
+    for pairs, sign in blocks:
+        for i, j in pairs:
+            mat = rng.uniform(-1.0, 1.0, size=(m, m))
+            game.add_edge(i, j, mat, sign * mat.T)
+    return game, TwoTeamStructure(tuple(xs), tuple(ys), independent_adversaries=independent)
 
 
 class StrategyProfile:
@@ -167,10 +189,6 @@ class StrategyProfile:
         for i, v in enumerate(self.strategies):
             if len(v) != game.strategy_counts[i]:
                 raise StructuralError(f"strategy {i} has wrong length {len(v)}")
-
-    @staticmethod
-    def uniform(game: PolymatrixGame) -> "StrategyProfile":
-        return StrategyProfile([np.full(s, 1.0 / s) for s in game.strategy_counts])
 
 
 @dataclass(frozen=True)
@@ -329,17 +347,26 @@ def game_to_dict(game: PolymatrixGame, structure: TwoTeamStructure | None = None
     return out
 
 
+def _json_ints(values, what: str) -> list:
+    values = list(values)
+    if any(type(v) is not int for v in values):
+        raise StructuralError(f"malformed game data: {what} must be integers, got {values!r}")
+    return values
+
+
 def game_from_dict(data: dict):
     """Returns (game, structure or None)."""
     try:
-        counts = data["strategy_counts"]
-        game = PolymatrixGame(counts)
+        game = PolymatrixGame(_json_ints(data["strategy_counts"], "strategy_counts"))
         for e in data.get("edges", []):
-            game.add_edge(e["i"], e["j"], e["a_ij"], e["a_ji"])
+            i, j = _json_ints((e["i"], e["j"]), "edge indices")
+            if game.has_edge(i, j):
+                raise StructuralError(f"malformed game data: edge {{{i},{j}}} listed twice")
+            game.add_edge(i, j, e["a_ij"], e["a_ji"])
         structure = None
         if "teams" in data:
             t = data["teams"]
-            team_x, team_y = tuple(t["x"]), tuple(t["y"])
+            team_x, team_y = _json_ints(t["x"], "teams.x"), _json_ints(t["y"], "teams.y")
             independent = t.get("independent", False)
             if not isinstance(independent, bool):
                 raise StructuralError(

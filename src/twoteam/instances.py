@@ -25,10 +25,22 @@ def _triplets(mat: np.ndarray) -> list:
     return [[int(r), int(c), float(mat[r, c])] for r, c in zip(rows, cols)]
 
 
+def _json_int(value, size=float("inf")) -> int:
+    """``value`` if it is a JSON integer in [0, size); ValueError otherwise."""
+    if type(value) is not int or not 0 <= value < size:
+        raise ValueError(f"malformed instance data: expected an integer in [0, {size}), got {value!r}")
+    return value
+
+
 def _from_triplets(triplets, shape) -> np.ndarray:
     out = np.zeros(shape)
+    seen = set()
     for r, c, v in triplets or []:
-        out[int(r), int(c)] = float(v)
+        key = (_json_int(r, shape[0]), _json_int(c, shape[1]))
+        if key in seen:
+            raise ValueError(f"malformed instance data: entry {list(key)} listed twice")
+        seen.add(key)
+        out[key] = float(v)
     return out
 
 
@@ -109,6 +121,36 @@ class MinmaxIndInstance:
                 raise ValueError("coefficients must be finite")
         if not np.isfinite(self.alpha) or not self.epsilon > 0:
             raise ValueError("alpha must be finite and epsilon positive")
+
+
+def random_quadratic(n: int, epsilon: float, rng) -> QuadraticInstance:
+    """A QP whose coefficients are drawn uniform on [-1, 1] from ``rng``."""
+    cross = rng.uniform(-1.0, 1.0, size=(n, n))
+    np.fill_diagonal(cross, 0.0)
+    return QuadraticInstance(
+        n=n,
+        constant=rng.uniform(-1.0, 1.0),
+        linear=rng.uniform(-1.0, 1.0, size=n),
+        cross=cross,
+        square=rng.uniform(-1.0, 1.0, size=n),
+        epsilon=epsilon,
+    )
+
+
+def random_minmax(n_x: int, n_y: int, epsilon: float, rng) -> MinmaxIndInstance:
+    """A minmax instance whose coefficients are drawn uniform on [-1, 1] from ``rng``."""
+    gamma = rng.uniform(-1.0, 1.0, size=(n_x, n_x))
+    np.fill_diagonal(gamma, 0.0)
+    return MinmaxIndInstance(
+        n_x=n_x,
+        n_y=n_y,
+        alpha=rng.uniform(-1.0, 1.0),
+        beta=rng.uniform(-1.0, 1.0, size=n_x),
+        gamma=gamma,
+        zeta=rng.uniform(-1.0, 1.0, size=n_y),
+        theta=rng.uniform(-1.0, 1.0, size=(n_x, n_y)),
+        epsilon=epsilon,
+    )
 
 
 class BoxPoint:
@@ -352,7 +394,7 @@ def instance_from_dict(data: dict):
     try:
         kind = data["kind"]
         if kind == "quadratic":
-            n = int(data.get("n", data.get("n_x")))
+            n = _json_int(data.get("n", data.get("n_x")))
             return QuadraticInstance(
                 n=n,
                 constant=data.get("constant", 0.0),
@@ -362,7 +404,7 @@ def instance_from_dict(data: dict):
                 epsilon=data["epsilon"],
             )
         if kind == "minmax_ind":
-            n_x, n_y = int(data["n_x"]), int(data["n_y"])
+            n_x, n_y = _json_int(data["n_x"]), _json_int(data["n_y"])
             return MinmaxIndInstance(
                 n_x=n_x,
                 n_y=n_y,

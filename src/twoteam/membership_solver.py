@@ -479,7 +479,6 @@ def find_kkt_point(
 def extract_multipliers(
     prog: DualMinProgram,
     x: list,
-    gamma: np.ndarray,
     band: float = 1e-7,
 ) -> MultiplierCertificate:
     """Find (mu, lambda, nu) for a near-KKT point by LP feasibility.

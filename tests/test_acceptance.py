@@ -17,19 +17,21 @@ from twoteam.game_core import (
     StrategyProfile,
     TwoTeamStructure,
     common_utility,
+    random_two_team,
     utility,
     validate_two_team,
     verify_epsilon_nash,
 )
 from twoteam.instances import (
     BoxPoint,
-    MinmaxIndInstance,
     MinmaxPoint,
     QuadraticInstance,
     eval_minmax,
     eval_quadratic,
     grad_minmax,
     grad_quadratic,
+    random_minmax,
+    random_quadratic,
     sum_abs_coeffs,
     verify_min_kkt,
     verify_minmax_kkt,
@@ -50,23 +52,9 @@ def report(num, desc, detail=""):
     print(f"\n[acceptance] criterion {num} ({desc}): PASS {detail}")
 
 
-def random_quadratic(rng, n, epsilon=1.0 / 13.0):
-    cross = rng.uniform(-1, 1, (n, n))
-    np.fill_diagonal(cross, 0.0)
-    return QuadraticInstance(n=n, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, n),
-                             cross=cross, square=rng.uniform(-1, 1, n), epsilon=epsilon)
-
-
-def random_minmax(rng, n_x, n_y, epsilon):
-    gamma = rng.uniform(-1, 1, (n_x, n_x))
-    np.fill_diagonal(gamma, 0.0)
-    return MinmaxIndInstance(n_x=n_x, n_y=n_y, alpha=rng.uniform(-1, 1),
-                             beta=rng.uniform(-1, 1, n_x), gamma=gamma,
-                             zeta=rng.uniform(-1, 1, n_y),
-                             theta=rng.uniform(-1, 1, (n_x, n_y)), epsilon=epsilon)
-
-
-def random_two_team(rng, n_x, n_y, m, independent=True, cross_only=False):
+def criterion_7_game(rng, n_x, n_y, m, independent, cross_only):
+    """Like ``random_two_team``, but draws Y-Y edges before the cross edges
+    and, with ``cross_only``, no intra-team edges."""
     g = PolymatrixGame([m] * (n_x + n_y))
     xs = list(range(n_x))
     ys = list(range(n_x, n_x + n_y))
@@ -92,13 +80,13 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(101)
     for draw in range(100):
         if draw % 2 == 0:
-            q = random_quadratic(rng, int(rng.integers(1, 6)), epsilon=0.05)
+            q = random_quadratic(int(rng.integers(1, 6)), 0.05, rng)
             x = rng.uniform(0.1, 0.9, q.n)
             fd = finite_diff_grad(lambda v: eval_quadratic(q, v), x, 1e-5)
             g = grad_quadratic(q, x)
             assert np.max(np.abs(fd - g) / np.maximum(1.0, np.abs(g))) <= 1e-6
         else:
-            m = random_minmax(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 0.05)
+            m = random_minmax(int(rng.integers(1, 6)), int(rng.integers(1, 6)), 0.05, rng)
             x = rng.uniform(0.1, 0.9, m.n_x)
             y = rng.uniform(0.1, 0.9, m.n_y)
             g, qv = grad_minmax(m, (x, y))
@@ -116,8 +104,8 @@ def test_criterion_2_stage2_structural_soundness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(102)
     for _ in range(50):
-        m = random_minmax(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                          epsilon=float(rng.uniform(0.1, 1.0)))
+        m = random_minmax(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                          float(rng.uniform(0.1, 1.0)), rng)
         game, structure, _ = reduce_stage2(m)
         rep = validate_two_team(game, structure)
         assert rep.passed
@@ -131,7 +119,7 @@ def test_criterion_3_stage1_objective_identity():
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(20):
-        q = random_quadratic(rng, int(rng.integers(1, 4)))
+        q = random_quadratic(int(rng.integers(1, 4)), 1.0 / 13.0, rng)
         m, params = reduce_stage1(q)
         n = q.n
         for _ in range(50):
@@ -159,7 +147,7 @@ def test_criterion_4_stage1_kkt_projection_desk_scale():
     total_found = 0
     for draw in range(10):
         n = 1 if draw % 5 < 3 else 2
-        q = random_quadratic(rng, n, epsilon=1.0 / 13.0)
+        q = random_quadratic(n, 1.0 / 13.0, rng)
         m, params = reduce_stage1(q)
         projected, count = stage1_kkt_grid_scan(m, 200, m.epsilon)
         total_found += count
@@ -188,7 +176,7 @@ def test_criterion_5_stage2_nash_pullback_desk_scale():
     total_hits = 0
     for draw in range(10):
         n = 1 if draw % 2 == 0 else 2
-        m_inst = random_minmax(rng, n, n, epsilon=1.0)
+        m_inst = random_minmax(n, n, 1.0, rng)
         game, structure, params = reduce_stage2(m_inst)
         delta = params.delta_out
         thr = params.rounding_threshold
@@ -240,7 +228,7 @@ def test_criterion_6_membership_pipeline():
     solve_s = oracle_s = 0.0
     for trial in range(50):
         n_x, n_y, m = shapes[trial % len(shapes)]
-        game, structure = random_two_team(rng, n_x, n_y, m)
+        game, structure = random_two_team(n_x, n_y, m, True, rng)
         t_stage = time.perf_counter()
         profile, rep = solve(game, structure, epsilon=1e-4, seed=trial)
         solve_s += time.perf_counter() - t_stage
@@ -266,7 +254,7 @@ def test_criterion_7_zero_sum_conservation():
         cross_only = trial % 2 == 0
         n_x, n_y = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         m = int(rng.integers(2, 4))
-        game, structure = random_two_team(
+        game, structure = criterion_7_game(
             rng, n_x, n_y, m, independent=bool(rng.integers(0, 2)), cross_only=cross_only
         )
         profile = StrategyProfile([rng.dirichlet(np.ones(c)) for c in game.strategy_counts])
@@ -319,7 +307,7 @@ def test_criterion_9_dual_equivalence_identity():
     for _ in range(50):
         n_x, n_y = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         m = int(rng.integers(2, 4))
-        game, structure = random_two_team(rng, n_x, n_y, m)
+        game, structure = random_two_team(n_x, n_y, m, True, rng)
         prog = build_dual_program(game, structure)
         for _ in range(20):
             x = [rng.dirichlet(np.ones(m)) for _ in range(n_x)]

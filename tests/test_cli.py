@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -140,10 +142,19 @@ MALFORMED_TEAMS = {
     "teams as a list": [0, 1],
     "teams x not a list": {"x": 0, "y": [1]},
 }
+# (keys..., value) to set; each used to load, truncated or keeping the later
+# duplicate.  Edges 3 and 4 are (1, 2) and (1, 3).
+MALFORMED_GAMES = {
+    "fractional strategy count": ("strategy_counts", 0, 2.7),
+    "fractional edge index": ("edges", 0, "i", 0.9),
+    "fractional team member": ("teams", "x", 1, 1.2),
+    "repeated edge": ("edges", 3, "j", 3),
+    "repeated team member": ("teams", "x", [0, 1, 1]),
+}
 
 
 @pytest.mark.parametrize("flaw", ["no independent flag", "coordination mismatch",
-                                  *MALFORMED_TEAMS])
+                                  *MALFORMED_TEAMS, *MALFORMED_GAMES])
 def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
     g = tmp_path / "g.json"
     flags = [] if flaw == "no independent flag" else ["--independent"]
@@ -154,6 +165,9 @@ def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
         data["edges"][0]["a_ij"][0][0] += 1.0  # edge 0 joins two team-X players
     if flaw in MALFORMED_TEAMS:
         data["teams"] = MALFORMED_TEAMS[flaw]
+    if flaw in MALFORMED_GAMES:
+        *keys, last, value = MALFORMED_GAMES[flaw]
+        functools.reduce(operator.getitem, keys, data)[last] = value
     g.write_text(json.dumps(data))
     # ``solve`` refuses the same games, with the same exit code.
     for argv in (("oracle", "--task", "minimax", "--game", str(g), "--grid", "4"),
@@ -163,6 +177,36 @@ def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
         err = capsys.readouterr().err
         assert err.startswith("error: "), argv
         assert "Traceback" not in err, argv
+
+
+# (keys..., value) to set in the n = 3 quadratic's file; each used to load,
+# truncated, wrapped round or keeping the later duplicate, or to escape as an
+# IndexError.  Its first two cross entries are (0, 1) and (0, 2).
+MALFORMED_INSTANCES = {
+    "fractional size": ("n", 3.5),
+    "fractional column": ("cross", 0, [0, 1.7, 0.5]),
+    "negative row": ("cross", 0, [-1, 0, 0.5]),
+    "row out of range": ("cross", 0, [5, 0, 1.0]),
+    "repeated entry": ("cross", 1, [0, 1, 0.7]),
+}
+
+
+@pytest.mark.parametrize("flaw", MALFORMED_INSTANCES)
+def test_malformed_instance_file_is_usage_error(tmp_path, capsys, flaw):
+    q, point = tmp_path / "q.json", tmp_path / "pt.json"
+    run("gen", "--kind", "quadratic", "--n", "3", "--seed", "2", "--out", str(q))
+    data = read(q)
+    *keys, last, value = MALFORMED_INSTANCES[flaw]
+    functools.reduce(operator.getitem, keys, data)[last] = value
+    q.write_text(json.dumps(data))
+    point.write_text(json.dumps({"x": [0.5, 0.5, 0.5]}))
+    for argv in (("oracle", "--task", "kkt-grid", "--instance", str(q)),
+                 ("reduce", "--stage", "full", "--in", str(q), "--out", str(tmp_path / "g.json")),
+                 ("verify", "--kind", "min-kkt", "--instance", str(q), "--point", str(point),
+                  "--epsilon", "0.1")):
+        capsys.readouterr()
+        assert run(*argv) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: malformed instance data: "), argv
 
 
 @pytest.mark.parametrize("flag", ["false", "no", 0, None])

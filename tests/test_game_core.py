@@ -12,6 +12,7 @@ from twoteam.game_core import (
     game_to_dict,
     profile_from_dict,
     profile_to_dict,
+    random_two_team,
     utility,
     validate_two_team,
     verify_epsilon_nash,
@@ -23,26 +24,6 @@ def matching_pennies():
     g.add_edge(0, 1, [[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
     s = TwoTeamStructure((0,), (1,), independent_adversaries=True)
     return g, s
-
-
-def random_two_team(rng, n_x, n_y, m, independent=True):
-    g = PolymatrixGame([m] * (n_x + n_y))
-    xs = list(range(n_x))
-    ys = list(range(n_x, n_x + n_y))
-    for a in range(n_x):
-        for b in range(a + 1, n_x):
-            mat = rng.uniform(-1, 1, (m, m))
-            g.add_edge(xs[a], xs[b], mat, mat.T)
-    for i in xs:
-        for j in ys:
-            mat = rng.uniform(-1, 1, (m, m))
-            g.add_edge(i, j, mat, -mat.T)
-    if not independent:
-        for a in range(n_y):
-            for b in range(a + 1, n_y):
-                mat = rng.uniform(-1, 1, (m, m))
-                g.add_edge(ys[a], ys[b], mat, mat.T)
-    return g, TwoTeamStructure(tuple(xs), tuple(ys), independent_adversaries=independent)
 
 
 def random_profile(rng, game):
@@ -76,11 +57,13 @@ def test_validate_structural_errors_are_distinct():
         validate_two_team(g2, TwoTeamStructure((0,), ()))  # not a partition
     with pytest.raises(StructuralError):
         TwoTeamStructure((0, 1), (1,))  # overlap
+    with pytest.raises(StructuralError, match="twice"):
+        TwoTeamStructure((0, 1), (2, 3, 3))  # repeated member
 
 
 def test_independence_flag_checks_adversary_edges():
     rng = np.random.default_rng(0)
-    g, s = random_two_team(rng, 2, 2, 2, independent=False)
+    g, s = random_two_team(2, 2, 2, False, rng)
     assert validate_two_team(g, s).passed
     s_ind = TwoTeamStructure(s.team_x, s.team_y, independent_adversaries=True)
     report = validate_two_team(g, s_ind)
@@ -121,7 +104,7 @@ def test_best_response_beats_mixed_grid():
     # Pure best responses suffice: check against an exhaustive mixed grid.
     rng = np.random.default_rng(2)
     for _ in range(10):
-        g, _ = random_two_team(rng, 1, 2, 3)
+        g, _ = random_two_team(1, 2, 3, True, rng)
         prof = random_profile(rng, g)
         _, v = best_response(g, 0, prof)
         best_mixed = -np.inf
@@ -147,7 +130,7 @@ def test_verify_epsilon_nash_examples():
 def test_regrets_never_negative():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        g, _ = random_two_team(rng, 2, 2, 3)
+        g, _ = random_two_team(2, 2, 3, True, rng)
         rep = verify_epsilon_nash(g, random_profile(rng, g), 1.0)
         assert min(rep.regrets) >= -1e-9
 
@@ -163,7 +146,7 @@ def test_common_utility_matching_pennies():
 def test_common_utility_matches_naive_summation():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        g, s = random_two_team(rng, 3, 2, 2)
+        g, s = random_two_team(3, 2, 2, True, rng)
         prof = random_profile(rng, g)
         expected = 0.0
         xs, ys = list(s.team_x), list(s.team_y)
@@ -189,7 +172,7 @@ def test_cross_team_exchange_conserves():
     # the coordination payoffs, i.e. the cross-team exchange cancels.
     rng = np.random.default_rng(5)
     for _ in range(50):
-        g, s = random_two_team(rng, 2, 2, 2, independent=False)
+        g, s = random_two_team(2, 2, 2, False, rng)
         prof = random_profile(rng, g)
         total = sum(utility(g, i, prof) for i in range(g.num_players))
         coord = 0.0
@@ -208,7 +191,7 @@ def test_deviation_matches_common_utility_direction():
     # utility in its coordinate.
     rng = np.random.default_rng(6)
     for _ in range(20):
-        g, s = random_two_team(rng, 2, 2, 3, independent=True)
+        g, s = random_two_team(2, 2, 3, True, rng)
         prof = random_profile(rng, g)
         base_u = common_utility(g, s, prof)
         for j in s.team_y:
@@ -227,7 +210,7 @@ def test_deviation_matches_common_utility_direction():
 def test_utility_affine_in_own_strategy():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        g, _ = random_two_team(rng, 2, 1, 3)
+        g, _ = random_two_team(2, 1, 3, True, rng)
         prof = random_profile(rng, g)
         a = rng.dirichlet(np.ones(3))
         b = rng.dirichlet(np.ones(3))
@@ -250,7 +233,7 @@ def test_profile_renormalization_rules():
 
 def test_game_round_trip_through_dict():
     rng = np.random.default_rng(8)
-    g, s = random_two_team(rng, 2, 2, 3)
+    g, s = random_two_team(2, 2, 3, True, rng)
     data = game_to_dict(g, s)
     g2, s2 = game_from_dict(data)
     assert g2.strategy_counts == g.strategy_counts

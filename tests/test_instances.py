@@ -10,6 +10,8 @@ from twoteam.instances import (
     eval_quadratic,
     grad_minmax,
     grad_quadratic,
+    random_minmax,
+    random_quadratic,
     instance_from_dict,
     instance_to_dict,
     sum_abs_coeffs,
@@ -27,34 +29,6 @@ def x_squared(epsilon=0.1):
 def bilinear_xy(epsilon=0.01):
     return MinmaxIndInstance(
         n_x=1, n_y=1, alpha=0, beta=[0], gamma=[[0]], zeta=[0], theta=[[1]], epsilon=epsilon
-    )
-
-
-def random_quadratic(rng, n):
-    cross = rng.uniform(-1, 1, (n, n))
-    np.fill_diagonal(cross, 0.0)
-    return QuadraticInstance(
-        n=n,
-        constant=rng.uniform(-1, 1),
-        linear=rng.uniform(-1, 1, n),
-        cross=cross,
-        square=rng.uniform(-1, 1, n),
-        epsilon=0.05,
-    )
-
-
-def random_minmax(rng, n_x, n_y):
-    gamma = rng.uniform(-1, 1, (n_x, n_x))
-    np.fill_diagonal(gamma, 0.0)
-    return MinmaxIndInstance(
-        n_x=n_x,
-        n_y=n_y,
-        alpha=rng.uniform(-1, 1),
-        beta=rng.uniform(-1, 1, n_x),
-        gamma=gamma,
-        zeta=rng.uniform(-1, 1, n_y),
-        theta=rng.uniform(-1, 1, (n_x, n_y)),
-        epsilon=0.05,
     )
 
 
@@ -93,7 +67,7 @@ def test_eval_quadratic_examples():
 def test_eval_quadratic_matches_naive():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        inst = random_quadratic(rng, int(rng.integers(1, 5)))
+        inst = random_quadratic(int(rng.integers(1, 5)), 0.05, rng)
         x = rng.uniform(0, 1, inst.n)
         assert eval_quadratic(inst, x) == pytest.approx(naive_eval_quadratic(inst, x), abs=1e-12)
 
@@ -110,13 +84,13 @@ def test_grad_quadratic_examples():
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     for _ in range(25):
-        q = random_quadratic(rng, int(rng.integers(1, 5)))
+        q = random_quadratic(int(rng.integers(1, 5)), 0.05, rng)
         x = rng.uniform(0.1, 0.9, q.n)
         fd = finite_diff_grad(lambda v: eval_quadratic(q, v), x, 1e-5)
         g = grad_quadratic(q, x)
         assert np.max(np.abs(fd - g) / np.maximum(1.0, np.abs(g))) <= 1e-6
     for _ in range(25):
-        m = random_minmax(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        m = random_minmax(int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0.05, rng)
         x = rng.uniform(0.1, 0.9, m.n_x)
         y = rng.uniform(0.1, 0.9, m.n_y)
         g, q_ = grad_minmax(m, (x, y))
@@ -140,7 +114,7 @@ def test_eval_minmax_examples():
 def test_eval_minmax_matches_naive():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        m = random_minmax(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        m = random_minmax(int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0.05, rng)
         x = rng.uniform(0, 1, m.n_x)
         y = rng.uniform(0, 1, m.n_y)
         assert eval_minmax(m, (x, y)) == pytest.approx(naive_eval_minmax(m, x, y), abs=1e-12)
@@ -181,7 +155,7 @@ def test_verify_minmax_kkt_examples():
 def test_minmax_kkt_monotone_in_epsilon():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        m = random_minmax(rng, 2, 2)
+        m = random_minmax(2, 2, 0.05, rng)
         p = MinmaxPoint(BoxPoint(rng.uniform(0, 1, 2)), BoxPoint(rng.uniform(0, 1, 2)))
         eps = rng.uniform(0, 2)
         if verify_minmax_kkt(m, p, eps).passed:
@@ -237,13 +211,13 @@ def test_structural_invariants_rejected():
 
 def test_instance_serialization_round_trip():
     rng = np.random.default_rng(7)
-    q = random_quadratic(rng, 3)
+    q = random_quadratic(3, 0.05, rng)
     q2 = instance_from_dict(instance_to_dict(q))
     assert isinstance(q2, QuadraticInstance)
     for _ in range(5):
         x = rng.uniform(0, 1, 3)
         assert eval_quadratic(q, x) == eval_quadratic(q2, x)
-    m = random_minmax(rng, 2, 3)
+    m = random_minmax(2, 3, 0.05, rng)
     m2 = instance_from_dict(instance_to_dict(m))
     assert isinstance(m2, MinmaxIndInstance)
     for _ in range(5):

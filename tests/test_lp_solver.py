@@ -40,6 +40,12 @@ def test_box_maximum():
     assert out.solution == pytest.approx([1.0, 1.0])
 
 
+def test_pivot_limit_yields_numerical_failure(monkeypatch):
+    monkeypatch.setattr("twoteam.lp_solver.PIVOT_LIMIT", 0)  # the box LP needs phase-1 pivots
+    lp = LinearProgram(objective=[1, 1], ineq_matrix=[[1, 0], [0, 1]], ineq_rhs=[1, 1])
+    assert solve_lp(lp).status == NUMERICAL_FAILURE
+
+
 def test_unbounded_detection():
     assert solve_lp(LinearProgram(objective=[1.0])).status == UNBOUNDED
 

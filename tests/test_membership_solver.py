@@ -6,11 +6,13 @@ from twoteam.game_core import (
     StrategyProfile,
     TwoTeamStructure,
     common_utility,
+    random_two_team,
     verify_epsilon_nash,
 )
 from twoteam.instances import (
     MinmaxIndInstance,
     QuadraticInstance,
+    random_quadratic,
     verify_general_kkt,
     verify_min_kkt,
     verify_minmax_kkt,
@@ -37,21 +39,6 @@ def matching_pennies():
     g = PolymatrixGame([2, 2])
     g.add_edge(0, 1, [[1, -1], [-1, 1]], [[-1, 1], [1, -1]])
     return g, TwoTeamStructure((0,), (1,), independent_adversaries=True)
-
-
-def random_independent_game(rng, n_x, n_y, m):
-    g = PolymatrixGame([m] * (n_x + n_y))
-    xs = list(range(n_x))
-    ys = list(range(n_x, n_x + n_y))
-    for a in range(n_x):
-        for b in range(a + 1, n_x):
-            mat = rng.uniform(-1, 1, (m, m))
-            g.add_edge(xs[a], xs[b], mat, mat.T)
-    for i in xs:
-        for j in ys:
-            mat = rng.uniform(-1, 1, (m, m))
-            g.add_edge(i, j, mat, -mat.T)
-    return g, TwoTeamStructure(tuple(xs), tuple(ys), independent_adversaries=True)
 
 
 def degenerate_independent_game(rng):
@@ -156,7 +143,7 @@ def test_extract_multipliers_matching_pennies():
     prog = build_dual_program(g, s)
     res = find_kkt_point(prog, seed=0)
     assert res.residual <= 1e-10
-    cert = extract_multipliers(prog, res.x, res.gamma)
+    cert = extract_multipliers(prog, res.x)
     assert cert.mu[0].sum() == pytest.approx(1.0, abs=1e-9)
     assert cert.mu[0] == pytest.approx([0.5, 0.5], abs=1e-6)
     assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-6
@@ -168,7 +155,7 @@ def test_extract_multipliers_fails_away_from_kkt_point():
     g, s = matching_pennies()
     prog = build_dual_program(g, s)
     with pytest.raises(MultiplierExtractionError):
-        extract_multipliers(prog, [np.array([0.9, 0.1])], np.zeros(1))
+        extract_multipliers(prog, [np.array([0.9, 0.1])])
 
 
 def test_extract_multipliers_no_edges_returns_vertex():
@@ -177,7 +164,7 @@ def test_extract_multipliers_no_edges_returns_vertex():
     prog = build_dual_program(g, s)
     res = find_kkt_point(prog, seed=0)
     assert res.residual <= 1e-10
-    cert = extract_multipliers(prog, res.x, res.gamma)
+    cert = extract_multipliers(prog, res.x)
     # All conditions degenerate; the feasibility solver lands on a vertex.
     assert cert.mu[0].sum() == pytest.approx(1.0, abs=1e-9)
     assert cert.mu[0].max() == pytest.approx(1.0, abs=1e-9)
@@ -235,11 +222,11 @@ def _assert_passes_general_kkt_verifier(prog, res, cert):
 def test_certificate_passes_general_kkt_verifier():
     rng = np.random.default_rng(1)
     for trial in range(5):
-        g, s = random_independent_game(rng, 2, 2, 2)
+        g, s = random_two_team(2, 2, 2, True, rng)
         prog = build_dual_program(g, s)
         res = find_kkt_point(prog, seed=trial)
         assert res.residual <= 1e-9
-        _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x, res.gamma))
+        _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x))
     # Unequal action counts: both the basis certificate and the LP's.
     rng = np.random.default_rng(403)
     unequal = 0
@@ -252,7 +239,7 @@ def test_certificate_passes_general_kkt_verifier():
         res = find_kkt_point(prog, seed=trial)
         assert res.residual <= 1e-9, trial
         _assert_passes_general_kkt_verifier(prog, res, res.certificate)
-        _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x, res.gamma))
+        _assert_passes_general_kkt_verifier(prog, res, extract_multipliers(prog, res.x))
     assert unequal >= 5
 
 
@@ -269,7 +256,7 @@ def test_solve_random_games():
     for trial in range(8):
         n_x, n_y = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         m = int(rng.integers(2, 4))
-        g, s = random_independent_game(rng, n_x, n_y, m)
+        g, s = random_two_team(n_x, n_y, m, True, rng)
         profile, report = solve(g, s, epsilon=1e-4, seed=trial)
         assert report.passed, (trial, report.max_regret)
 
@@ -303,7 +290,7 @@ def test_solve_handles_unequal_strategy_counts():
 
 def test_solve_deterministic_under_seed():
     rng = np.random.default_rng(5)
-    g, s = random_independent_game(rng, 2, 2, 2)
+    g, s = random_two_team(2, 2, 2, True, rng)
     p1, r1 = solve(g, s, epsilon=1e-6, seed=11)
     p2, r2 = solve(g, s, epsilon=1e-6, seed=11)
     for a, b in zip(p1.strategies, p2.strategies):
@@ -327,7 +314,7 @@ def test_solve_values_conserve_across_teams():
     from twoteam.game_core import utility
 
     for trial in range(5):
-        g, s = random_independent_game(rng, 2, 2, 2)
+        g, s = random_two_team(2, 2, 2, True, rng)
         profile, report = solve(g, s, epsilon=1e-5, seed=trial)
         assert report.passed
         total = sum(utility(g, i, profile) for i in range(g.num_players))
@@ -346,7 +333,7 @@ def test_eliminated_objective_equals_inner_maximum():
     import itertools
 
     for _ in range(10):
-        g, s = random_independent_game(rng, 2, 2, 2)
+        g, s = random_two_team(2, 2, 2, True, rng)
         prog = build_dual_program(g, s)
         x = [rng.dirichlet(np.ones(2)) for _ in range(2)]
         obj = prog.objective(x)
@@ -376,7 +363,7 @@ def test_solve_rejects_non_finite_epsilon():
 
 def test_find_kkt_point_counts_pivots_and_traces_them():
     rng = np.random.default_rng(8)
-    g, s = random_independent_game(rng, 2, 2, 3)
+    g, s = random_two_team(2, 2, 3, True, rng)
     prog = build_dual_program(g, s)
     trace = []
     res = find_kkt_point(prog, seed=3, trace=trace)
@@ -403,18 +390,14 @@ def test_degenerate_games_solve_exactly():
         assert all(np.array_equal(a, b) for a, b in zip(profile.strategies,
                                                         basis_profile.strategies)), trial
         # The feasibility LP shares no code with the Lemke search.
-        cert = extract_multipliers(prog, res.x, res.gamma,
-                                   band=min(1e-7, 10.0 * res.residual + 1e-12))
+        cert = extract_multipliers(prog, res.x, band=min(1e-7, 10.0 * res.residual + 1e-12))
         assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-7, trial
 
 
 def test_reduced_two_variable_qps_pull_back_at_delta():
     rng = np.random.default_rng(9)
     for trial in range(10):
-        cross = rng.uniform(-1, 1, (2, 2))
-        np.fill_diagonal(cross, 0.0)
-        q = QuadraticInstance(n=2, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, 2),
-                              cross=cross, square=rng.uniform(-1, 1, 2), epsilon=1.0 / 13.0)
+        q = random_quadratic(2, 1.0 / 13.0, rng)
         game, structure, params = reduce_full(q)
         profile, report = solve(game, structure, epsilon=params.delta, seed=trial)
         assert report.passed, (trial, report.max_regret, params.delta)
@@ -460,21 +443,14 @@ def _assert_batch_matches_lone_paths(M, q, covers, max_pivots):
     return batch
 
 
-def _reduced_qp(rng, n):
-    cross = rng.uniform(-1, 1, (n, n))
-    np.fill_diagonal(cross, 0.0)
-    q = QuadraticInstance(n=n, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, n),
-                          cross=cross, square=rng.uniform(-1, 1, n), epsilon=1.0 / 13.0)
-    return reduce_full(q)[0]
-
-
 def test_stacked_lemke_paths_match_lone_paths_on_reduced_qps():
     # Each path of the stacked tableau pivots exactly as it would alone;
     # the pivot totals are pinned on the 3n-player reduced games.
     rng = np.random.default_rng(12)
     pivots = []
     for trial in range(6):
-        M, q, _, _ = membership_solver._game_lcp(_reduced_qp(rng, 1 + trial % 2))
+        game = reduce_full(random_quadratic(1 + trial % 2, 1.0 / 13.0, rng))[0]
+        M, q, _, _ = membership_solver._game_lcp(game)
         batch = _assert_batch_matches_lone_paths(M, q, _covers(len(q), trial), 10**6)
         assert all(solution is not None for solution, _ in batch), trial
         pivots.append(sum(len(z0_values) for _, z0_values in batch))
@@ -500,7 +476,8 @@ def test_stacked_lemke_paths_match_lone_paths_through_tie_breaks(monkeypatch):
 
 def test_stacked_lemke_paths_cut_at_max_pivots_mid_batch():
     rng = np.random.default_rng(13)
-    M, q, _, _ = membership_solver._game_lcp(_reduced_qp(rng, 1))
+    game = reduce_full(random_quadratic(1, 1.0 / 13.0, rng))[0]
+    M, q, _, _ = membership_solver._game_lcp(game)
     covers = _covers(len(q), 5)
     full = membership_solver._lemke_paths(M, q, covers, 10**6)
     lengths = sorted(len(z0_values) for _, z0_values in full)

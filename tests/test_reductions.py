@@ -8,6 +8,8 @@ from twoteam.instances import (
     MinmaxPoint,
     QuadraticInstance,
     eval_minmax,
+    random_minmax,
+    random_quadratic,
     sum_abs_coeffs,
     verify_min_kkt,
     verify_minmax_kkt,
@@ -27,22 +29,6 @@ from twoteam.reductions import (
 
 def x_squared(epsilon=1.0 / 13.0):
     return QuadraticInstance(n=1, constant=0, linear=[0], cross=[[0]], square=[1], epsilon=epsilon)
-
-
-def random_quadratic(rng, n, epsilon=1.0 / 13.0):
-    cross = rng.uniform(-1, 1, (n, n))
-    np.fill_diagonal(cross, 0.0)
-    return QuadraticInstance(n=n, constant=rng.uniform(-1, 1), linear=rng.uniform(-1, 1, n),
-                             cross=cross, square=rng.uniform(-1, 1, n), epsilon=epsilon)
-
-
-def random_minmax(rng, n_x, n_y, epsilon=0.5):
-    gamma = rng.uniform(-1, 1, (n_x, n_x))
-    np.fill_diagonal(gamma, 0.0)
-    return MinmaxIndInstance(n_x=n_x, n_y=n_y, alpha=rng.uniform(-1, 1),
-                             beta=rng.uniform(-1, 1, n_x), gamma=gamma,
-                             zeta=rng.uniform(-1, 1, n_y),
-                             theta=rng.uniform(-1, 1, (n_x, n_y)), epsilon=epsilon)
 
 
 def naive_q_prime(q, x, xp):
@@ -77,7 +63,7 @@ def test_stage1_constants():
 def test_stage1_objective_identity():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        q = random_quadratic(rng, int(rng.integers(1, 4)))
+        q = random_quadratic(int(rng.integers(1, 4)), 1.0 / 13.0, rng)
         m, p = reduce_stage1(q)
         n = q.n
         for _ in range(50):
@@ -138,7 +124,7 @@ def test_stage2_coordination_shared_both_directions():
 def test_stage2_output_validates_with_independence():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        m = random_minmax(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        m = random_minmax(int(rng.integers(1, 4)), int(rng.integers(1, 4)), 0.5, rng)
         game, structure, _ = reduce_stage2(m)
         report = validate_two_team(game, structure)
         assert report.passed
@@ -148,7 +134,7 @@ def test_stage2_output_validates_with_independence():
 def test_stage2_entry_magnitude_bound():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        m = random_minmax(rng, 2, 2)
+        m = random_minmax(2, 2, 0.5, rng)
         game, _, params = reduce_stage2(m)
         n = 2
         bound = params.Z + 2.0 * params.Z / n
@@ -160,7 +146,7 @@ def test_stage2_utilities_reproduce_gradient_form(n_x, n_y):
     # U_{a_i}(p~) = -p~ (beta_i + sum gamma p + sum theta q) - sum zeta q / n_x
     # U_{b_j}(q~) = q~ (zeta_j + sum theta p) + sum beta p / n_y
     rng = np.random.default_rng(3)
-    m = random_minmax(rng, n_x, n_y)
+    m = random_minmax(n_x, n_y, 0.5, rng)
     game, structure, _ = reduce_stage2(m)
     gsum = m.gamma + m.gamma.T
     for _ in range(20):
@@ -201,7 +187,7 @@ def test_pullback_stage2_thresholds():
 def test_stage2_has_one_player_per_variable(n_x, n_y, players):
     # Without max-variables one zero-coefficient adversary joins the game.
     rng = np.random.default_rng(4)
-    m = random_minmax(rng, n_x, n_y)
+    m = random_minmax(n_x, n_y, 0.5, rng)
     game, structure, params = reduce_stage2(m)
     assert game.num_players == players
     assert structure.team_x == tuple(range(n_x))
@@ -213,7 +199,7 @@ def test_stage2_has_one_player_per_variable(n_x, n_y, players):
 def test_pullback_stage2_rejects_a_profile_of_the_wrong_size():
     rng = np.random.default_rng(5)
     for n_x, n_y in [(2, 2), (3, 1), (2, 0)]:
-        game, _, params = reduce_stage2(random_minmax(rng, n_x, n_y))
+        game, _, params = reduce_stage2(random_minmax(n_x, n_y, 0.5, rng))
         for players in (game.num_players - 1, game.num_players + 1):
             with pytest.raises(ValueError, match="players"):
                 pullback_stage2(StrategyProfile([[0.5, 0.5]] * players), params)
@@ -223,7 +209,7 @@ def test_pullback_stage2_rejects_a_profile_of_the_wrong_size():
 def test_stage2_unequal_shapes_solve_and_pull_back_to_kkt_points(n_x, n_y):
     rng = np.random.default_rng(100 + 10 * n_x + n_y)
     for _ in range(3):
-        m = random_minmax(rng, n_x, n_y)
+        m = random_minmax(n_x, n_y, 0.5, rng)
         game, structure, params = reduce_stage2(m)
         profile, report = solve(game, structure, epsilon=params.delta_out, seed=0)
         assert report.passed

@@ -177,6 +177,8 @@ def cmd_verify(args) -> int:
     try:
         if not isinstance(data, dict) or "x" not in data:
             raise ValueError('expected a JSON object with an "x" entry')
+        if not game_core.is_json_numbers([data["x"], data.get("y", [])]):
+            raise ValueError("coordinates must be JSON numbers")
         x = instances.BoxPoint(data["x"])
         if args.kind == "min-kkt":
             report = instances.verify_min_kkt(inst, x, args.epsilon)

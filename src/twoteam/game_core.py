@@ -347,6 +347,19 @@ def game_to_dict(game: PolymatrixGame, structure: TwoTeamStructure | None = None
     return out
 
 
+def is_json_numbers(value) -> bool:
+    """True when ``value`` is a JSON number (an int or a float, not a bool
+    or a string) or a list, nested to any depth, of JSON numbers."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if type(v) is list:
+            pending.extend(v)
+        elif type(v) not in (int, float):
+            return False
+    return True
+
+
 def _json_ints(values, what: str) -> list:
     values = list(values)
     if any(type(v) is not int for v in values):
@@ -362,6 +375,10 @@ def game_from_dict(data: dict):
             i, j = _json_ints((e["i"], e["j"]), "edge indices")
             if game.has_edge(i, j):
                 raise StructuralError(f"malformed game data: edge {{{i},{j}}} listed twice")
+            if not (is_json_numbers(e["a_ij"]) and is_json_numbers(e["a_ji"])):
+                raise StructuralError(
+                    f"malformed game data: edge {{{i},{j}}}: payoffs must be JSON numbers"
+                )
             game.add_edge(i, j, e["a_ij"], e["a_ji"])
         structure = None
         if "teams" in data:
@@ -386,6 +403,8 @@ def profile_to_dict(profile: StrategyProfile) -> dict:
 
 def profile_from_dict(data: dict) -> StrategyProfile:
     try:
+        if not is_json_numbers(data["strategies"]):
+            raise StructuralError("malformed profile data: strategies must be JSON numbers")
         return StrategyProfile(data["strategies"])
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed profile data: {exc}") from exc

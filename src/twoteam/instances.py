@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .game_core import is_json_numbers
+
 
 def _coords(x) -> np.ndarray:
     if isinstance(x, BoxPoint):
@@ -32,6 +34,13 @@ def _json_int(value, size=float("inf")) -> int:
     return value
 
 
+def _json_numbers(value, what: str):
+    """``value`` if ``is_json_numbers`` holds for it; ValueError otherwise."""
+    if not is_json_numbers(value):
+        raise ValueError(f"malformed instance data: {what} must be JSON numbers")
+    return value
+
+
 def _from_triplets(triplets, shape) -> np.ndarray:
     out = np.zeros(shape)
     seen = set()
@@ -40,7 +49,7 @@ def _from_triplets(triplets, shape) -> np.ndarray:
         if key in seen:
             raise ValueError(f"malformed instance data: entry {list(key)} listed twice")
         seen.add(key)
-        out[key] = float(v)
+        out[key] = float(_json_numbers(v, "matrix entries"))
     return out
 
 
@@ -397,23 +406,23 @@ def instance_from_dict(data: dict):
             n = _json_int(data.get("n", data.get("n_x")))
             return QuadraticInstance(
                 n=n,
-                constant=data.get("constant", 0.0),
-                linear=data.get("linear", np.zeros(n)),
+                constant=_json_numbers(data.get("constant", 0.0), "constant"),
+                linear=_json_numbers(data.get("linear", [0.0] * n), "linear"),
                 cross=_from_triplets(data.get("cross"), (n, n)),
-                square=data.get("square", np.zeros(n)),
-                epsilon=data["epsilon"],
+                square=_json_numbers(data.get("square", [0.0] * n), "square"),
+                epsilon=_json_numbers(data["epsilon"], "epsilon"),
             )
         if kind == "minmax_ind":
             n_x, n_y = _json_int(data["n_x"]), _json_int(data["n_y"])
             return MinmaxIndInstance(
                 n_x=n_x,
                 n_y=n_y,
-                alpha=data.get("alpha", 0.0),
-                beta=data.get("beta", np.zeros(n_x)),
+                alpha=_json_numbers(data.get("alpha", 0.0), "alpha"),
+                beta=_json_numbers(data.get("beta", [0.0] * n_x), "beta"),
                 gamma=_from_triplets(data.get("gamma"), (n_x, n_x)),
-                zeta=data.get("zeta", np.zeros(n_y)),
+                zeta=_json_numbers(data.get("zeta", [0.0] * n_y), "zeta"),
                 theta=_from_triplets(data.get("theta"), (n_x, n_y)),
-                epsilon=data["epsilon"],
+                epsilon=_json_numbers(data["epsilon"], "epsilon"),
             )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance data: {exc}") from exc

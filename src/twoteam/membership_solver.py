@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game_core import (
-    NashReport,
     PolymatrixGame,
     StrategyProfile,
     TwoTeamStructure,
@@ -68,50 +67,40 @@ class DualMinProgram:
     """The eliminated minimization program for one game.
 
     ``xs`` and ``ys`` are the team-X and team-Y player ids, and every
-    player keeps its own action count.  ``coord[(a, b)]`` (a < b, team-X
-    grid indices) holds the coordination matrix A^{x_a, x_b};
-    ``cross[j][i]`` holds A^{y_j, x_i}, or None when the edge is absent.
-    ``x`` below is one strategy vector per team-X player.
+    player keeps its own action count.  ``x`` below is one strategy
+    vector per team-X player, and s = concat(x) stacks them: X player a's
+    actions are s[offsets[a] : offsets[a + 1]].  ``coord`` holds the
+    coordination matrices A^{x_a, x_b} (a < b) in their blocks of an
+    s-by-s matrix, zero elsewhere; ``cross[j]`` holds adversary j's payoff
+    rows A^{y_j, x_a} over s, zero where an edge is absent.
     """
 
     game: PolymatrixGame
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    coord: dict
+    offsets: np.ndarray
+    coord: np.ndarray
     cross: list
 
     # -- objective machinery -------------------------------------------------
 
     def adversary_payoffs(self, x: list) -> list:
         """c[j][k] = sum_i e_k . A^{j,i} x_i for every adversary j and action k."""
-        c = [np.zeros(self.game.strategy_counts[p]) for p in self.ys]
-        for j, row in enumerate(self.cross):
-            for i, mat in enumerate(row):
-                if mat is not None:
-                    c[j] += mat @ x[i]
-        return c
+        s = np.concatenate(x)
+        return [rows @ s for rows in self.cross]
 
     def gamma_of(self, x: list) -> np.ndarray:
         """Tight dual values: gamma_j = max_k c[j][k]."""
         return np.array([c.max() for c in self.adversary_payoffs(x)], dtype=float)
 
-    def coordination_value(self, x: list) -> float:
-        total = 0.0
-        for (a, b), mat in self.coord.items():
-            total += float(x[a] @ mat @ x[b])
-        return total
-
     def objective(self, x: list) -> float:
-        gam = self.gamma_of(x)
-        return -self.coordination_value(x) + float(gam.sum())
+        s = np.concatenate(x)
+        return -float(s @ self.coord @ s) + float(self.gamma_of(x).sum())
 
-    def linear_part(self, x: list) -> list:
-        """b_a = -sum_{b != a} A^{a,b} x_b (gradient of the coordination term)."""
-        out = [np.zeros(len(s)) for s in x]
-        for (a, b), mat in self.coord.items():
-            out[a] -= mat @ x[b]
-            out[b] -= mat.T @ x[a]
-        return out
+    def linear_part(self, x: list) -> np.ndarray:
+        """Gradient of the coordination term over s: block a is -sum_{b != a} A^{a,b} x_b."""
+        s = np.concatenate(x)
+        return -(self.coord @ s + self.coord.T @ s)
 
 
 @dataclass
@@ -145,8 +134,8 @@ def build_dual_program(game: PolymatrixGame, structure: TwoTeamStructure) -> Dua
 
     Rejects games with adversary-adversary edges: without independence the
     inner maximum does not separate per adversary and the elimination is
-    unsound.  The matrices are C-contiguous copies, so that ``@`` rounds
-    alike whichever way the game stores an edge.
+    unsound.  Both arrays are cut from ``_payoff_matrix``, the block
+    matrix that ``_game_lcp`` reads too.
     """
     report = validate_two_team(game, structure)
     if not report.passed:
@@ -163,17 +152,16 @@ def build_dual_program(game: PolymatrixGame, structure: TwoTeamStructure) -> Dua
     ys = tuple(structure.team_y)
     if not xs:
         raise SolverError("build_dual_program: team X is empty")
-    coord = {
-        (a, b): np.ascontiguousarray(game.payoff(xs[a], xs[b]))
-        for a in range(len(xs))
-        for b in range(a + 1, len(xs))
-        if game.has_edge(xs[a], xs[b])
-    }
-    cross = [
-        [np.ascontiguousarray(game.payoff(y, x)) if game.has_edge(y, x) else None for x in xs]
-        for y in ys
-    ]
-    return DualMinProgram(game=game, xs=xs, ys=ys, coord=coord, cross=cross)
+    payoff, offsets = _payoff_matrix(game)
+    cols = np.concatenate([np.arange(offsets[p], offsets[p + 1]) for p in xs])
+    counts = [game.strategy_counts[p] for p in xs]
+    owner = np.repeat(np.arange(len(xs)), counts)
+    coord = payoff[cols][:, cols]
+    coord[owner[:, None] >= owner] = 0.0
+    return DualMinProgram(
+        game=game, xs=xs, ys=ys, offsets=np.cumsum([0] + counts), coord=coord,
+        cross=[payoff[offsets[y] : offsets[y + 1], cols] for y in ys],
+    )
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -191,45 +179,37 @@ def _multiplier_system(prog: DualMinProgram, x: list):
 
     mu is supported on the adversary constraints within
     ``ACTIVITY_THRESHOLD`` of tight, nu on the coordinates within it of
-    zero, and lambda is free.  Returns (stat, b, eq, bounds, unpack): X
-    player a has the rows from offset o_a = len(x[0]) + ... + len(x[a-1])
-    on, and row o_a + k of ``stat`` times the multipliers plus b[o_a + k]
-    is coordinate (a, k)'s stationarity; each row of ``eq`` sums one
+    zero, and lambda is free.  Returns (stat, b, eq, bounds, unpack): row
+    r of ``stat`` times the multipliers plus b[r] is the stationarity of
+    coordinate r of s = concat(x); each row of ``eq`` sums one
     adversary's mu (to 1), ``bounds`` are the variables' LP bounds, and
     ``unpack`` maps a solution vector to (mu, lam, nu).
     """
+    s = np.concatenate(x)
     nx, ny = len(prog.xs), len(prog.ys)
-    offsets = np.concatenate([[0], np.cumsum([len(s) for s in x])])
     mu_slots = [(j, int(k)) for j, c in enumerate(prog.adversary_payoffs(x))
                 for k in np.flatnonzero(c.max() - c <= ACTIVITY_THRESHOLD)]
-    nu_slots = [(a, int(k)) for a, s in enumerate(x)
-                for k in np.flatnonzero(s <= ACTIVITY_THRESHOLD)]
+    nu_rows = np.flatnonzero(s <= ACTIVITY_THRESHOLD)
     n_mu = len(mu_slots)
-    nvars = n_mu + nx + len(nu_slots)
+    nvars = n_mu + nx + len(nu_rows)
 
-    stat = np.zeros((offsets[-1], nvars))
+    stat = np.zeros((len(s), nvars))
+    stat[:, :n_mu] = np.array([prog.cross[j][k] for j, k in mu_slots]).reshape(n_mu, len(s)).T
+    stat[np.arange(len(s)), n_mu + np.repeat(np.arange(nx), np.diff(prog.offsets))] = 1.0
+    stat[nu_rows, n_mu + nx + np.arange(len(nu_rows))] = -1.0
     eq = np.zeros((ny, nvars))
-    for col, (j, k) in enumerate(mu_slots):
-        for a, mat in enumerate(prog.cross[j]):
-            if mat is not None:
-                stat[offsets[a] : offsets[a + 1], col] = mat[k]
-        eq[j, col] = 1.0
-    for a in range(nx):
-        stat[offsets[a] : offsets[a + 1], n_mu + a] = 1.0
-    for col, (a, k) in enumerate(nu_slots, start=n_mu + nx):
-        stat[offsets[a] + k, col] = -1.0
-    bounds = [(0.0, None)] * n_mu + [(None, None)] * nx + [(0.0, None)] * len(nu_slots)
+    eq[[j for j, _ in mu_slots], np.arange(n_mu)] = 1.0
+    bounds = [(0.0, None)] * n_mu + [(None, None)] * nx + [(0.0, None)] * len(nu_rows)
 
     def unpack(z: np.ndarray):
-        mu = [np.zeros(prog.game.strategy_counts[p]) for p in prog.ys]
+        mu = [np.zeros(len(rows)) for rows in prog.cross]
         for col, (j, k) in enumerate(mu_slots):
             mu[j][k] = max(z[col], 0.0)
-        nu = [np.zeros(len(s)) for s in x]
-        for col, (a, k) in enumerate(nu_slots, start=n_mu + nx):
-            nu[a][k] = max(z[col], 0.0)
-        return mu, np.array(z[n_mu : n_mu + nx]), nu
+        nu = np.zeros(len(s))
+        nu[nu_rows] = np.maximum(z[n_mu + nx :], 0.0)
+        return mu, np.array(z[n_mu : n_mu + nx]), np.split(nu, prog.offsets[1:-1])
 
-    return stat, np.concatenate(prog.linear_part(x)), eq, bounds, unpack
+    return stat, prog.linear_part(x), eq, bounds, unpack
 
 
 def stationarity_residual(prog: DualMinProgram, x: list):
@@ -259,6 +239,22 @@ def stationarity_residual(prog: DualMinProgram, x: list):
     return max(float(out.solution[0]), 0.0), unpack(out.solution[1:])
 
 
+def _payoff_matrix(game: PolymatrixGame):
+    """Every edge's payoffs in one block matrix, and the action offsets.
+
+    Player p's actions are rows and columns offsets[p]:offsets[p+1], and
+    the block at (p, p') holds A^{p,p'}, zero where the edge is absent.
+    """
+    offsets = np.concatenate([[0], np.cumsum(game.strategy_counts)])
+    n = int(offsets[-1])
+    payoff = np.zeros((n, n))
+    for i, j in game.edge_pairs():
+        rows, cols = slice(offsets[i], offsets[i + 1]), slice(offsets[j], offsets[j + 1])
+        payoff[rows, cols] = game.payoff(i, j)
+        payoff[cols, rows] = game.payoff(j, i)
+    return payoff, offsets
+
+
 def _game_lcp(game: PolymatrixGame):
     """The game's equilibrium problem as LCP(q, M) (Howson 1972).
 
@@ -277,13 +273,8 @@ def _game_lcp(game: PolymatrixGame):
     LCP is feasible, so Lemke's method ends at a solution.  Returns
     (M, q, offsets, c) with player p's actions at offsets[p]:offsets[p+1].
     """
-    offsets = np.concatenate([[0], np.cumsum(game.strategy_counts)])
-    n, players = int(offsets[-1]), game.num_players
-    payoff = np.zeros((n, n))
-    for i, j in game.edge_pairs():
-        rows, cols = slice(offsets[i], offsets[i + 1]), slice(offsets[j], offsets[j + 1])
-        payoff[rows, cols] = game.payoff(i, j)
-        payoff[cols, rows] = game.payoff(j, i)
+    payoff, offsets = _payoff_matrix(game)
+    n, players = len(payoff), game.num_players
     sums = np.zeros((players, n))
     for p in range(players):
         sums[p, offsets[p] : offsets[p + 1]] = 1.0
@@ -487,8 +478,9 @@ def extract_multipliers(
     enforced structurally by restricting the multiplier supports to the
     active sets.  Raises MultiplierExtractionError when the system is
     infeasible, signalling that x is not close enough to a KKT point.
-    It shares no code with the Lemke search, so it cross-checks the
-    certificate ``find_kkt_point`` reads off its basis.
+    It reads the payoffs the Lemke search reads but shares none of its
+    pivoting, so it cross-checks the certificate ``find_kkt_point`` reads
+    off its basis.
     """
     stat, b, eq, bounds, unpack = _multiplier_system(prog, x)
     lp = LinearProgram(
@@ -516,18 +508,10 @@ def certificate_violation(
     prog: DualMinProgram, x: list, gamma: np.ndarray, cert: MultiplierCertificate
 ) -> float:
     """Worst violation of the three multiplier conditions (for checking)."""
-    worst = 0.0
-    b = prog.linear_part(x)
-    for a in range(len(prog.xs)):
-        r = b[a].copy()
-        for j, mu in enumerate(cert.mu):
-            mat = prog.cross[j][a]
-            if mat is not None:
-                r += mat.T @ mu
-        r += cert.lam[a]
-        r -= cert.nu[a]
-        worst = max(worst, float(np.abs(r).max()))
-        worst = max(worst, float(x[a][cert.nu[a] > ACTIVITY_THRESHOLD].max(initial=0.0)))
+    s, nu = np.concatenate(x), np.concatenate(cert.nu)
+    r = prog.linear_part(x) + np.repeat(cert.lam, np.diff(prog.offsets)) - nu
+    r += sum(rows.T @ mu for rows, mu in zip(prog.cross, cert.mu))
+    worst = max(float(np.abs(r).max()), float(s[nu > ACTIVITY_THRESHOLD].max(initial=0.0)))
     for j, c in enumerate(prog.adversary_payoffs(x)):
         mu = cert.mu[j]
         worst = max(worst, abs(float(mu.sum()) - 1.0))

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from twoteam import cli
 from twoteam.game_core import (
@@ -20,11 +19,9 @@ from twoteam.game_core import (
     random_two_team,
     utility,
     validate_two_team,
-    verify_epsilon_nash,
 )
 from twoteam.instances import (
     BoxPoint,
-    MinmaxPoint,
     QuadraticInstance,
     eval_minmax,
     eval_quadratic,
@@ -32,7 +29,6 @@ from twoteam.instances import (
     grad_quadratic,
     random_minmax,
     random_quadratic,
-    sum_abs_coeffs,
     verify_min_kkt,
     verify_minmax_kkt,
 )
@@ -45,7 +41,7 @@ from twoteam.oracle import (
     iter_profile_regrets,
     stage1_kkt_grid_scan,
 )
-from twoteam.reductions import copy_gadget, pullback_full, pullback_stage2, reduce_full, reduce_stage1, reduce_stage2
+from twoteam.reductions import copy_gadget, pullback_full, pullback_stage2, reduce_stage1, reduce_stage2
 
 
 def report(num, desc, detail=""):

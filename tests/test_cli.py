@@ -154,6 +154,7 @@ MALFORMED_GAMES = {
 
 
 @pytest.mark.parametrize("flaw", ["no independent flag", "coordination mismatch",
+                                  "string payoff", "boolean payoff",
                                   *MALFORMED_TEAMS, *MALFORMED_GAMES])
 def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
     g = tmp_path / "g.json"
@@ -163,6 +164,12 @@ def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
     data = read(g)
     if flaw == "coordination mismatch":
         data["edges"][0]["a_ij"][0][0] += 1.0  # edge 0 joins two team-X players
+    # Edge 3 joins the teams; each entry would read as a number that keeps
+    # it zero-sum.
+    if flaw == "string payoff":
+        data["edges"][3]["a_ij"][0][0] = repr(data["edges"][3]["a_ij"][0][0])
+    if flaw == "boolean payoff":
+        data["edges"][3]["a_ij"][0][0], data["edges"][3]["a_ji"][0][0] = True, -1.0
     if flaw in MALFORMED_TEAMS:
         data["teams"] = MALFORMED_TEAMS[flaw]
     if flaw in MALFORMED_GAMES:
@@ -180,14 +187,20 @@ def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
 
 
 # (keys..., value) to set in the n = 3 quadratic's file; each used to load,
-# truncated, wrapped round or keeping the later duplicate, or to escape as an
-# IndexError.  Its first two cross entries are (0, 1) and (0, 2).
+# truncated, wrapped round or keeping the later duplicate, to escape as an
+# IndexError, or to read a string or a bool as a number.  Its first two cross
+# entries are (0, 1) and (0, 2).
 MALFORMED_INSTANCES = {
     "fractional size": ("n", 3.5),
     "fractional column": ("cross", 0, [0, 1.7, 0.5]),
     "negative row": ("cross", 0, [-1, 0, 0.5]),
     "row out of range": ("cross", 0, [5, 0, 1.0]),
     "repeated entry": ("cross", 1, [0, 1, 0.7]),
+    "string epsilon": ("epsilon", "0.5"),
+    "boolean epsilon": ("epsilon", True),
+    "string linear entry": ("linear", 1, "1e-1"),
+    "string cross entry": ("cross", 0, [0, 1, "0.5"]),
+    "boolean square entry": ("square", 2, False),
 }
 
 
@@ -413,6 +426,9 @@ KKT_INSTANCES = {
     ("minmax-kkt", "x"),
     ("min-kkt", {"x": {"a": 1}}),
     ("minmax-kkt", {"y": [1.0]}),
+    ("min-kkt", {"x": ["0.5"]}),
+    ("min-kkt", {"x": [True]}),
+    ("minmax-kkt", {"x": [0.5], "y": ["1"]}),
 ])
 def test_malformed_point_file_is_usage_error(tmp_path, capsys, kind, payload):
     inst = tmp_path / "inst.json"
@@ -423,6 +439,20 @@ def test_malformed_point_file_is_usage_error(tmp_path, capsys, kind, payload):
                "--epsilon", "0.1") == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert f"bad point file: {point}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["0.5", True, None])
+def test_profile_file_with_non_number_entries_is_usage_error(tmp_path, capsys, entry):
+    g, p = tmp_path / "g.json", tmp_path / "p.json"
+    run("gen", "--kind", "two-team", "--nx", "1", "--ny", "1", "--m", "2",
+        "--independent", "--seed", "0", "--out", str(g))
+    p.write_text(json.dumps({"strategies": [[entry, 0.5], [0.5, 0.5]]}))
+    capsys.readouterr()
+    assert run("verify", "--kind", "nash", "--game", str(g), "--profile", str(p),
+               "--epsilon", "0.1") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed profile data: ")
     assert "Traceback" not in err
 
 

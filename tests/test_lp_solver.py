@@ -46,6 +46,14 @@ def test_pivot_limit_yields_numerical_failure(monkeypatch):
     assert solve_lp(lp).status == NUMERICAL_FAILURE
 
 
+def test_post_solve_recheck_catches_an_infeasible_optimum(monkeypatch):
+    # With a feasibility tolerance of 10, phase 1 accepts x0 + x1 <= -1 at
+    # an artificial level of 1; the re-check of the returned point refuses it.
+    monkeypatch.setattr("twoteam.lp_solver.FEAS_TOL", 10.0)
+    lp = LinearProgram(objective=[1.0, 1.0], ineq_matrix=[[1.0, 1.0]], ineq_rhs=[-1.0])
+    assert solve_lp(lp).status == NUMERICAL_FAILURE
+
+
 def test_unbounded_detection():
     assert solve_lp(LinearProgram(objective=[1.0])).status == UNBOUNDED
 

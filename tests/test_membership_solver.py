@@ -7,7 +7,6 @@ from twoteam.game_core import (
     TwoTeamStructure,
     common_utility,
     random_two_team,
-    verify_epsilon_nash,
 )
 from twoteam.instances import (
     MinmaxIndInstance,
@@ -104,6 +103,7 @@ def test_dual_transcription_matches_naive_builder():
     game, structure, _ = reduce_stage2(m)
     prog = build_dual_program(game, structure)
     n = 2
+    assert prog.offsets.tolist() == [0, 2, 4]
     for j in range(n):
         for i in range(n):
             expected = np.array(
@@ -112,9 +112,12 @@ def test_dual_transcription_matches_naive_builder():
                     [m.beta[i] / n, 0.0],
                 ]
             )
-            assert np.allclose(prog.cross[j][i], expected, atol=1e-15)
+            assert np.allclose(prog.cross[j][:, 2 * i : 2 * i + 2], expected, atol=1e-15)
+    # The coordination block of X players 0 and 1; zero elsewhere.
     gsum = m.gamma + m.gamma.T
-    assert np.allclose(prog.coord[(0, 1)], [[-gsum[0, 1], 0], [0, 0]], atol=1e-15)
+    coord = np.zeros((4, 4))
+    coord[0:2, 2:4] = [[-gsum[0, 1], 0], [0, 0]]
+    assert np.allclose(prog.coord, coord, atol=1e-15)
 
 
 def test_find_kkt_matching_pennies():
@@ -178,8 +181,7 @@ def _assert_passes_general_kkt_verifier(prog, res, cert):
     o = np.concatenate([[0], np.cumsum([len(s) for s in res.x])])
     nz = o[-1] + ny
     cross_quad = np.zeros((nz, nz))
-    for (a, b), mat in prog.coord.items():
-        cross_quad[o[a] : o[a + 1], o[b] : o[b + 1]] -= mat
+    cross_quad[: o[-1], : o[-1]] = -prog.coord
     linear = np.zeros(nz)
     linear[o[-1] :] = 1.0
     objective = QuadraticInstance(
@@ -191,9 +193,7 @@ def _assert_passes_general_kkt_verifier(prog, res, cert):
     for j in range(ny):
         for k, mult in enumerate(cert.mu[j]):
             row = np.zeros(nz)
-            for i, mat in enumerate(prog.cross[j]):
-                if mat is not None:
-                    row[o[i] : o[i + 1]] += mat[k, :]
+            row[: o[-1]] = prog.cross[j][k]
             row[o[-1] + j] -= 1.0
             rows.append(row)
             rhs.append(0.0)
@@ -389,7 +389,7 @@ def test_degenerate_games_solve_exactly():
         basis_profile = reconstruct_nash(prog, res.x, res.certificate)
         assert all(np.array_equal(a, b) for a, b in zip(profile.strategies,
                                                         basis_profile.strategies)), trial
-        # The feasibility LP shares no code with the Lemke search.
+        # The feasibility LP shares no pivoting code with the Lemke search.
         cert = extract_multipliers(prog, res.x, band=min(1e-7, 10.0 * res.residual + 1e-12))
         assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-7, trial
 
@@ -490,3 +490,29 @@ def test_stacked_lemke_paths_cut_at_max_pivots_mid_batch():
             assert all(a.tobytes() == b.tobytes() for a, b in zip(solution, whole))
         else:
             assert solution is None
+
+
+@pytest.mark.parametrize("paths_per_block", [1, 5])
+def test_blocked_rank_one_update_matches_one_block(monkeypatch, paths_per_block):
+    # Up to LCP size 36 all 12 paths fit in one update block; a smaller
+    # block makes the pivot update run in blocks of 1 path, or of 5, 5, 2.
+    rng = np.random.default_rng(12)
+    games = [reduce_full(random_quadratic(1 + trial % 2, 1.0 / 13.0, rng))[0]
+             for trial in range(6)]
+    rng = np.random.default_rng(402)
+    games += [degenerate_independent_game(rng)[0] for _ in range(10)]
+    default_block = membership_solver._UPDATE_BLOCK
+    for trial, game in enumerate(games):
+        M, q, _, _ = membership_solver._game_lcp(game)
+        covers = _covers(len(q), trial)
+        monkeypatch.setattr(membership_solver, "_UPDATE_BLOCK", default_block)
+        whole = membership_solver._lemke_paths(M, q, covers, 10**6)
+        entries = len(q) * (2 * len(q) + 2)
+        assert entries * len(covers) <= default_block, trial
+        monkeypatch.setattr(membership_solver, "_UPDATE_BLOCK", paths_per_block * entries)
+        blocked = membership_solver._lemke_paths(M, q, covers, 10**6)
+        for p, ((solution, z0_values), (lone, lone_z0)) in enumerate(zip(blocked, whole)):
+            assert z0_values == lone_z0, (trial, p)
+            assert (solution is None) == (lone is None), (trial, p)
+            if solution is not None:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(solution, lone)), (trial, p)

@@ -86,7 +86,7 @@ def cmd_gen(args) -> int:
 
 def cmd_reduce(args) -> int:
     inst = _load(args.infile, instances.instance_from_dict)
-    params_path = args.params or (args.out + ".params.json")
+    params_path = args.out + ".params.json"
     if args.stage == "1":
         if not isinstance(inst, instances.QuadraticInstance):
             raise UsageError("stage 1 expects a quadratic instance file")
@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the instance transformations")
     p.add_argument("--stage", required=True, choices=["1", "2", "full"])
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--params", default=None, help="sidecar path (default: <out>.params.json)")
+    p.add_argument("--out", required=True,
+                   help="output file; its parameters always go to <out>.params.json")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("solve", help="solve an independent-adversary game")

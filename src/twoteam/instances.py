@@ -16,10 +16,11 @@ import numpy as np
 from .game_core import is_json_numbers
 
 
-def _coords(x) -> np.ndarray:
-    if isinstance(x, BoxPoint):
-        return x.values
-    return np.asarray(x, dtype=float)
+def _coords(inst: QuadraticInstance, x) -> np.ndarray:
+    v = x.values if isinstance(x, BoxPoint) else np.asarray(x, dtype=float)
+    if v.shape != (inst.n,):
+        raise ValueError(f"point has dimension {v.shape}, expected ({inst.n},)")
+    return v
 
 
 def _triplets(mat: np.ndarray) -> list:
@@ -203,9 +204,7 @@ class KKTReport:
 
 
 def eval_quadratic(inst: QuadraticInstance, x) -> float:
-    v = _coords(x)
-    if v.shape != (inst.n,):
-        raise ValueError(f"point has dimension {v.shape}, expected ({inst.n},)")
+    v = _coords(inst, x)
     return float(
         inst.constant
         + inst.linear @ v
@@ -216,9 +215,7 @@ def eval_quadratic(inst: QuadraticInstance, x) -> float:
 
 def grad_quadratic(inst: QuadraticInstance, x) -> np.ndarray:
     """Coordinate i: q_i + sum_{j != i} (q_ij + q_ji) x_j + 2 q_ii x_i."""
-    v = _coords(x)
-    if v.shape != (inst.n,):
-        raise ValueError(f"point has dimension {v.shape}, expected ({inst.n},)")
+    v = _coords(inst, x)
     return inst.linear + (inst.cross + inst.cross.T) @ v + 2.0 * inst.square * v
 
 
@@ -271,63 +268,40 @@ def sum_abs_coeffs(inst) -> float:
     return float(max(1.0, total))
 
 
-def _classify(value: float) -> str:
-    if value == 0.0:
-        return "at_zero"
-    if value == 1.0:
-        return "at_one"
-    return "interior"
+def _box_kkt(values: np.ndarray, g: np.ndarray, epsilon: float) -> KKTReport:
+    """Box KKT rule for a min variable with gradient g, coordinate by coordinate.
 
-
-def _min_side_violation(value: float, g: float, epsilon: float) -> float:
-    # Min variable: interior needs |g| <= eps, at 0 needs g >= -eps,
-    # at 1 needs g <= eps.
-    if value == 0.0:
-        return -g - epsilon
-    if value == 1.0:
-        return g - epsilon
-    return abs(g) - epsilon
-
-
-def _max_side_violation(value: float, q: float, epsilon: float) -> float:
-    # Max variable: the boundary conditions flip sign.
-    if value == 0.0:
-        return q - epsilon
-    if value == 1.0:
-        return -q - epsilon
-    return abs(q) - epsilon
+    At 0 it needs g >= -epsilon, at 1 g <= epsilon, and inside |g| <=
+    epsilon.  A max variable is checked as a min variable of -g.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    cases = []
+    for v, gi in zip(values.tolist(), g.tolist()):
+        if v == 0.0:
+            cases.append(("at_zero", -gi - epsilon))
+        elif v == 1.0:
+            cases.append(("at_one", gi - epsilon))
+        else:
+            cases.append(("interior", abs(gi) - epsilon))
+    classification, residuals = zip(*cases)
+    residuals = np.array(residuals)
+    max_violation = float(residuals.max())
+    return KKTReport(residuals, max_violation, max_violation <= 0.0, classification)
 
 
 def verify_min_kkt(inst: QuadraticInstance, x: BoxPoint, epsilon: float) -> KKTReport:
     """Approximate first-order check for min over the unit box."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
     v = x.values if isinstance(x, BoxPoint) else BoxPoint(x).values
-    g = grad_quadratic(inst, v)
-    residuals = np.array(
-        [_min_side_violation(v[i], g[i], epsilon) for i in range(inst.n)]
-    )
-    classification = tuple(_classify(v[i]) for i in range(inst.n))
-    max_violation = float(residuals.max())
-    return KKTReport(residuals, max_violation, max_violation <= 0.0, classification)
+    return _box_kkt(v, grad_quadratic(inst, v), epsilon)
 
 
 def verify_minmax_kkt(inst: MinmaxIndInstance, p: MinmaxPoint, epsilon: float) -> KKTReport:
     """First-order check for min over x, max over y, both box-constrained."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
     if not isinstance(p, MinmaxPoint):
         p = MinmaxPoint(*p)
     g, q = grad_minmax(inst, p)
-    xv, yv = p.x.values, p.y.values
-    res = [_min_side_violation(xv[i], g[i], epsilon) for i in range(inst.n_x)]
-    res += [_max_side_violation(yv[j], q[j], epsilon) for j in range(inst.n_y)]
-    classification = tuple(
-        [_classify(v) for v in xv] + [_classify(v) for v in yv]
-    )
-    residuals = np.array(res)
-    max_violation = float(residuals.max())
-    return KKTReport(residuals, max_violation, max_violation <= 0.0, classification)
+    return _box_kkt(np.concatenate([p.x.values, p.y.values]), np.concatenate([g, -q]), epsilon)
 
 
 def verify_general_kkt(objective: QuadraticInstance, A, b, x, mu, tol: float) -> KKTReport:

@@ -413,12 +413,7 @@ def _basis_certificate(prog: DualMinProgram, w, z, offsets, shift: float) -> Mul
     )
 
 
-def find_kkt_point(
-    prog: DualMinProgram,
-    seed: int = 0,
-    max_iter: int = MAX_ITER,
-    trace: list | None = None,
-) -> KKTSearchResult:
+def find_kkt_point(prog: DualMinProgram, seed: int = 0, trace: list | None = None) -> KKTSearchResult:
     """A KKT point of ``prog`` from Nash equilibria found by Lemke's method.
 
     With independent adversaries the team-X part of any Nash equilibrium
@@ -428,42 +423,51 @@ def find_kkt_point(
     ``NUM_COVERS - 1`` are drawn from ``seed``.  The paths pivot in
     lockstep in one stacked tableau (``_lemke_paths``), each exactly as
     it would alone.  Different covering vectors can end at different
-    equilibria; the one with the lowest objective wins.  ``max_iter``
-    caps the pivots of each path, and ``iterations`` counts the pivots
-    of all paths.  The winner's ``certificate`` (mu, lambda, nu) is read
-    off its final basis, its ``residual`` is that certificate's
+    equilibria; the one with the lowest objective wins, the first path
+    of equal ones.  The paths are ranked by their cost levels u alone,
+    elementwise outputs of the pivoting, so the winner does not depend
+    on how BLAS rounds a product.  ``MAX_ITER``, read at each call, caps
+    the pivots of each path, and ``iterations`` counts the pivots of all
+    paths.  The winner's ``certificate`` (mu, lambda, nu) is read off its
+    final basis, its ``residual`` is that certificate's
     ``certificate_violation``, and ``converged`` is ``residual <=
     CERTIFICATE_TOL``.  When ``trace`` is a list it receives one (pivot,
     z0, path) row per pivot.  Raises NonConvergenceError when no path ends
-    within ``max_iter`` pivots.
+    within ``MAX_ITER`` pivots.
     """
     M, q, offsets, shift = _game_lcp(prog.game)
     rng = np.random.default_rng(seed)
     covers = np.ones((NUM_COVERS, len(q)))
     for path in range(1, NUM_COVERS):
         covers[path] = rng.uniform(0.5, 1.5, len(q))
+    # At a solution player p's best payoff is shift * P - u_p (P players).
+    # The team's coordination sums to half of X's best payoffs plus Y's,
+    # so twice the objective -s.coord.s + sum_j gamma_j is
+    # sum_X u - sum_Y u + shift * P * (|Y| - |X|).
+    levels = shift * prog.game.num_players * (len(prog.ys) - len(prog.xs))
     best, pivots = None, 0
-    for path, (solution, z0_values) in enumerate(_lemke_paths(M, q, covers, max_iter)):
+    for path, (solution, z0_values) in enumerate(_lemke_paths(M, q, covers, MAX_ITER)):
         if trace is not None:
             trace.extend((pivots + k, v, path) for k, v in enumerate(z0_values))
         pivots += len(z0_values)
         if solution is None:
             continue
-        x = _strategies(solution[1], offsets, prog.xs)
-        value = prog.objective(x)
+        u = solution[1][offsets[-1] :]
+        value = math.fsum([*u[list(prog.xs)].tolist(), *(-u[list(prog.ys)]).tolist(), levels])
         if best is None or value < best[0]:
-            best = (value, x, solution)
+            best = (value, solution)
     if best is None:
         raise NonConvergenceError(
             f"find_kkt_point: none of {NUM_COVERS} complementary paths reached a solution"
         )
-    value, x, (w, z) = best
+    w, z = best[1]
+    x = _strategies(z, offsets, prog.xs)
     gamma = prog.gamma_of(x)
     cert = _basis_certificate(prog, w, z, offsets, shift)
     residual = certificate_violation(prog, x, gamma, cert)
     return KKTSearchResult(
         x=x, gamma=gamma, residual=residual, converged=residual <= CERTIFICATE_TOL,
-        iterations=pivots, objective=value, certificate=cert,
+        iterations=pivots, objective=prog.objective(x), certificate=cert,
     )
 
 

@@ -670,10 +670,12 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     k's row is ``[A_jk + base, coef, e_k]`` against ``[1; g; B_j]`` for
     the first adversary and ``[A_jk, e_k]`` against ``[1; B_j]`` for the
     rest.  A team without adversaries faces one with a single action and
-    no payoffs.
+    no payoffs; an empty team X raises ValueError.
     """
     if not validate_two_team(game, structure).passed or not structure.independent_adversaries:
         raise ValueError("requires a validated game with independent adversaries")
+    if not structure.team_x:
+        raise ValueError("team X is empty")
     k = _grid_k(grid)
     counts = game.strategy_counts
     xs = list(structure.team_x)

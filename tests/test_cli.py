@@ -154,7 +154,7 @@ MALFORMED_GAMES = {
 
 
 @pytest.mark.parametrize("flaw", ["no independent flag", "coordination mismatch",
-                                  "string payoff", "boolean payoff",
+                                  "string payoff", "boolean payoff", "empty team x",
                                   *MALFORMED_TEAMS, *MALFORMED_GAMES])
 def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
     g = tmp_path / "g.json"
@@ -162,6 +162,10 @@ def test_oracle_minimax_rejects_unsupported_games(tmp_path, capsys, flaw):
     run("gen", "--kind", "two-team", "--nx", "2", "--ny", "2", "--m", "2",
         "--seed", "2", "--out", str(g), *flags)
     data = read(g)
+    if flaw == "empty team x":
+        # No edges, and every player an adversary.
+        data = {"strategy_counts": [2, 3], "edges": [],
+                "teams": {"x": [], "y": [0, 1], "independent": True}}
     if flaw == "coordination mismatch":
         data["edges"][0]["a_ij"][0][0] += 1.0  # edge 0 joins two team-X players
     # Edge 3 joins the teams; each entry would read as a number that keeps
@@ -265,9 +269,7 @@ def test_solve_non_convergence_exits_3(tmp_path, capsys, monkeypatch):
     run("gen", "--kind", "two-team", "--nx", "2", "--ny", "2", "--m", "2",
         "--independent", "--seed", "5", "--out", str(g))
     # One pivot per path: no complementary path can end.
-    find = membership_solver.find_kkt_point
-    monkeypatch.setattr(membership_solver, "find_kkt_point",
-                        lambda prog, **kw: find(prog, max_iter=1, **kw))
+    monkeypatch.setattr(membership_solver, "MAX_ITER", 1)
     capsys.readouterr()
     assert run("solve", "--game", str(g), "--epsilon", "1e-5") == cli.EXIT_NOCONV
     err = capsys.readouterr().err
@@ -460,21 +462,25 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
     q = tmp_path / "q.json"
     g = tmp_path / "g.json"
     nowhere = str(tmp_path / "missing" / "out.json")
+    # The stage-1 output itself is writable, but a directory sits where its
+    # sidecar goes.
+    m = tmp_path / "m.json"
+    sidecar = str(m) + ".params.json"
+    os.mkdir(sidecar)
     run("gen", "--kind", "quadratic", "--n", "1", "--seed", "0", "--out", str(q))
     run("gen", "--kind", "two-team", "--nx", "1", "--ny", "1", "--m", "2",
         "--independent", "--seed", "0", "--out", str(g))
-    for argv in (
-        ("gen", "--kind", "quadratic", "--out", nowhere),
-        ("reduce", "--stage", "full", "--in", str(q), "--out", nowhere),
-        ("reduce", "--stage", "1", "--in", str(q), "--out", str(tmp_path / "m.json"),
-         "--params", nowhere),
-        ("solve", "--game", str(g), "--epsilon", "1e-6", "--out", nowhere),
-        ("solve", "--game", str(g), "--epsilon", "1e-6", "--trace", nowhere),
+    for argv, path in (
+        (("gen", "--kind", "quadratic", "--out", nowhere), nowhere),
+        (("reduce", "--stage", "full", "--in", str(q), "--out", nowhere), nowhere),
+        (("reduce", "--stage", "1", "--in", str(q), "--out", str(m)), sidecar),
+        (("solve", "--game", str(g), "--epsilon", "1e-6", "--out", nowhere), nowhere),
+        (("solve", "--game", str(g), "--epsilon", "1e-6", "--trace", nowhere), nowhere),
     ):
         capsys.readouterr()
         assert run(*argv) == cli.EXIT_USAGE, argv
         err = capsys.readouterr().err
-        assert f"cannot write {nowhere}" in err, argv
+        assert f"cannot write {path}" in err, argv
         assert "Traceback" not in err
 
 

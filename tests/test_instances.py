@@ -183,6 +183,73 @@ def test_minmax_reduces_to_min_when_no_max_vars():
         assert np.allclose(rep_m.residuals, rep_q.residuals)
 
 
+# Reference box rules, one for each side: a min variable with gradient g,
+# and a max variable with gradient q, whose boundary conditions flip sign.
+# The verifiers check a max variable as a min variable of -q and must match
+# these bit for bit.
+def reference_min_side(value, g, epsilon):
+    if value == 0.0:
+        return -g - epsilon
+    if value == 1.0:
+        return g - epsilon
+    return abs(g) - epsilon
+
+
+def reference_max_side(value, q, epsilon):
+    if value == 0.0:
+        return q - epsilon
+    if value == 1.0:
+        return -q - epsilon
+    return abs(q) - epsilon
+
+
+def reference_class(value):
+    return "at_zero" if value == 0.0 else "at_one" if value == 1.0 else "interior"
+
+
+def assert_same_report(rep, residuals, classification):
+    residuals = np.array(residuals)
+    assert rep.residuals.tobytes() == residuals.tobytes()
+    assert rep.max_violation == float(residuals.max())
+    assert rep.passed == (float(residuals.max()) <= 0.0)
+    assert rep.classification == tuple(classification)
+
+
+def test_box_verifiers_match_the_per_side_rules_bit_for_bit():
+    # Dyadic coefficients and points, so gradients land exactly on +-eps at
+    # 0, at 1 and inside.
+    rng = np.random.default_rng(20)
+    dyadic = lambda *shape: rng.integers(-8, 9, size=shape) / 8.0
+    on_boundary = 0
+    for _ in range(150):
+        n, n_x, n_y = (int(v) for v in rng.integers(1, 4, size=3))
+        cross, gamma = dyadic(n, n), dyadic(n_x, n_x)
+        np.fill_diagonal(cross, 0.0)
+        np.fill_diagonal(gamma, 0.0)
+        q = QuadraticInstance(n=n, constant=0.0, linear=dyadic(n), cross=cross,
+                              square=dyadic(n), epsilon=0.1)
+        m = MinmaxIndInstance(n_x=n_x, n_y=n_y, alpha=0.0, beta=dyadic(n_x), gamma=gamma,
+                              zeta=dyadic(n_y), theta=dyadic(n_x, n_y), epsilon=0.1)
+        x = BoxPoint(rng.integers(0, 5, size=n) / 4.0)
+        p = MinmaxPoint(rng.integers(0, 5, size=n_x) / 4.0, rng.integers(0, 5, size=n_y) / 4.0)
+        g = grad_quadratic(q, x)
+        gx, gy = grad_minmax(m, p)
+        for eps in (0.0, 0.125, 0.25, 0.5, 1.0):
+            rep = verify_min_kkt(q, x, eps)
+            assert_same_report(rep, [reference_min_side(v, gi, eps) for v, gi in zip(x.values, g)],
+                               [reference_class(v) for v in x.values])
+            on_boundary += int((rep.residuals == 0.0).sum())
+            rep = verify_minmax_kkt(m, p, eps)
+            xv, yv = p.x.values, p.y.values
+            assert_same_report(
+                rep,
+                [reference_min_side(v, gi, eps) for v, gi in zip(xv, gx)]
+                + [reference_max_side(v, qj, eps) for v, qj in zip(yv, gy)],
+                [reference_class(v) for v in np.concatenate([xv, yv])])
+            on_boundary += int((rep.residuals == 0.0).sum())
+    assert on_boundary > 50
+
+
 def test_verify_general_kkt_examples():
     # min -x s.t. x <= 0
     obj = QuadraticInstance(n=1, constant=0, linear=[-1], cross=[[0]], square=[0], epsilon=0.1)

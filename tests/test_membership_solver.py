@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -361,7 +363,7 @@ def test_solve_rejects_non_finite_epsilon():
             solve(g, s, epsilon=epsilon)
 
 
-def test_find_kkt_point_counts_pivots_and_traces_them():
+def test_find_kkt_point_counts_pivots_and_traces_them(monkeypatch):
     rng = np.random.default_rng(8)
     g, s = random_two_team(2, 2, 3, True, rng)
     prog = build_dual_program(g, s)
@@ -371,8 +373,32 @@ def test_find_kkt_point_counts_pivots_and_traces_them():
     assert [row[0] for row in trace] == list(range(res.iterations))
     assert sorted({row[2] for row in trace}) == list(range(NUM_COVERS))
     assert res.objective == prog.objective(res.x)
+    monkeypatch.setattr(membership_solver, "MAX_ITER", 1)
     with pytest.raises(SolverError, match="complementary paths"):
-        find_kkt_point(prog, max_iter=1)
+        find_kkt_point(prog)
+
+
+# Games random_two_team(shape, default_rng(i)) some of whose Lemke paths end
+# at one equilibrium, with objectives equal to about the last bit: ranked by
+# s @ coord @ s, whose BLAS rounding depends on where coord sits, the first
+# ten pick different winners for an offset copy of coord.
+PLACEMENT_SHAPES = [(1, 1, 2), (2, 1, 2), (2, 2, 2), (3, 2, 2), (3, 3, 2),
+                    (1, 2, 3), (2, 2, 3), (1, 3, 3), (2, 3, 3), (3, 1, 2)]
+PLACEMENT_GAMES = [16, 54, 56, 58, 59, 64, 98, 152, 154, 178, 0, 1, 2, 3, 5]
+
+
+def test_find_kkt_point_winner_ignores_where_coord_sits():
+    for i in PLACEMENT_GAMES:
+        g, s = random_two_team(*PLACEMENT_SHAPES[i % 10], True, np.random.default_rng(i))
+        prog = build_dual_program(g, s)
+        # A bitwise-equal copy of coord, one float past an allocation's start.
+        buf = np.empty(prog.coord.size + 1)
+        moved = buf[1:].reshape(prog.coord.shape)
+        moved[...] = prog.coord
+        a = find_kkt_point(prog, seed=i)
+        b = find_kkt_point(dataclasses.replace(prog, coord=moved), seed=i)
+        assert all(np.array_equal(u, v) for u, v in zip(a.x, b.x)), i
+        assert a.objective == prog.objective(a.x), i
 
 
 def test_degenerate_games_solve_exactly():

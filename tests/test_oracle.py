@@ -738,6 +738,13 @@ def test_grid_minimax_requires_independence():
         grid_minimax_value(g, s_dep, 10)
 
 
+def test_grid_minimax_rejects_an_empty_team_x():
+    g = PolymatrixGame([2, 3])
+    s = TwoTeamStructure((), (0, 1), independent_adversaries=True)
+    with pytest.raises(ValueError, match="team X is empty"):
+        grid_minimax_value(g, s, 4)
+
+
 def team_game(rng, x_counts, y_counts, intra, cross):
     """Two-team game on team X = players 0..len(x_counts)-1, Y after them.
 

@@ -424,27 +424,22 @@ def find_kkt_point(prog: DualMinProgram, seed: int = 0, trace: list | None = Non
     lockstep in one stacked tableau (``_lemke_paths``), each exactly as
     it would alone.  Different covering vectors can end at different
     equilibria; the one with the lowest objective wins, the first path
-    of equal ones.  The paths are ranked by their cost levels u alone,
-    elementwise outputs of the pivoting, so the winner does not depend
-    on how BLAS rounds a product.  ``MAX_ITER``, read at each call, caps
-    the pivots of each path, and ``iterations`` counts the pivots of all
-    paths.  The winner's ``certificate`` (mu, lambda, nu) is read off its
-    final basis, its ``residual`` is that certificate's
-    ``certificate_violation``, and ``converged`` is ``residual <=
-    CERTIFICATE_TOL``.  When ``trace`` is a list it receives one (pivot,
-    z0, path) row per pivot.  Raises NonConvergenceError when no path ends
-    within ``MAX_ITER`` pivots.
+    of equal ones.  A path's objective is taken from its strategies with
+    elementwise products and ``math.fsum`` rather than BLAS, so the
+    winner does not depend on where ``prog.coord`` sits in memory.
+    ``MAX_ITER``, read at each call, caps the pivots of each path, and
+    ``iterations`` counts the pivots of all paths.  The winner's
+    ``certificate`` (mu, lambda, nu) is read off its final basis, its
+    ``residual`` is that certificate's ``certificate_violation``, and
+    ``converged`` is ``residual <= CERTIFICATE_TOL``.  When ``trace`` is
+    a list it receives one (pivot, z0, path) row per pivot.  Raises
+    NonConvergenceError when no path ends within ``MAX_ITER`` pivots.
     """
     M, q, offsets, shift = _game_lcp(prog.game)
     rng = np.random.default_rng(seed)
     covers = np.ones((NUM_COVERS, len(q)))
     for path in range(1, NUM_COVERS):
         covers[path] = rng.uniform(0.5, 1.5, len(q))
-    # At a solution player p's best payoff is shift * P - u_p (P players).
-    # The team's coordination sums to half of X's best payoffs plus Y's,
-    # so twice the objective -s.coord.s + sum_j gamma_j is
-    # sum_X u - sum_Y u + shift * P * (|Y| - |X|).
-    levels = shift * prog.game.num_players * (len(prog.ys) - len(prog.xs))
     best, pivots = None, 0
     for path, (solution, z0_values) in enumerate(_lemke_paths(M, q, covers, MAX_ITER)):
         if trace is not None:
@@ -452,8 +447,9 @@ def find_kkt_point(prog: DualMinProgram, seed: int = 0, trace: list | None = Non
         pivots += len(z0_values)
         if solution is None:
             continue
-        u = solution[1][offsets[-1] :]
-        value = math.fsum([*u[list(prog.xs)].tolist(), *(-u[list(prog.ys)]).tolist(), levels])
+        s = np.concatenate(_strategies(solution[1], offsets, prog.xs))
+        value = -math.fsum((prog.coord * np.outer(s, s)).ravel())
+        value += sum(max(math.fsum(row * s) for row in rows) for rows in prog.cross)
         if best is None or value < best[0]:
             best = (value, solution)
     if best is None:

@@ -15,15 +15,20 @@ a column per block, and ``_max_product`` takes one matrix product per
 player (or adversary) and a running maximum over actions; no outer sum is
 built.  The products round differently from sums taken term by term, by
 about 1e-16, so these scans agree with the definitional verifiers to 1e-12
-rather than bit for bit.  The KKT-lattice scan walks prefix rows and never
-evaluates the gradient at every lattice point: on a row each gradient
-coordinate is monotone along the last axis, so its passing last digits
-form one run, whose ends it finds from an arithmetic guess and a walk that
-compares the gradient itself.  Its per-row terms are summed term by term,
-so its hits do not depend on the tile.  The stage-1 scan counts KKT cells
-per index with the same runs: along y_i each variable's conditions pass
-one run of digits, so a cell count is the length of three runs'
-intersection, in integers.  No scan calls the point-wise verifiers.
+rather than bit for bit.  The KKT-lattice scan builds its prefix rows one
+coordinate at a time, and a coordinate whose gradient holds no later
+coordinate is decided on the rows before its digits are expanded: digit
+0, the interior and digit k pass or fail as blocks.  It never evaluates
+the gradient at every lattice point: on a finished row each other
+gradient coordinate is monotone along the last axis, so its passing last
+digits form one run, whose ends it finds from an arithmetic guess and a
+walk that compares the gradient itself.  Its per-row terms are summed
+term by term, so its hits do not depend on the tile.  The stage-1 scan
+counts KKT cells per index with the same runs: along y_i each variable's
+conditions pass one run of digits, x_i's runs are found only for the
+(x_i, x'_i) pairs whose x'_i and y_i run is nonempty, and a cell count is
+the length of the runs' intersection, in integers.  No scan calls the
+point-wise verifiers.
 """
 
 from __future__ import annotations
@@ -309,12 +314,12 @@ def _digits_below(ext, slope, base, bound) -> np.ndarray:
 def _digit_run(ext, slope, base, low, high):
     """Per row, the digits d with ``low <= vals[d] * slope + base <= high``.
 
-    ``ext`` is as in ``_digits_below``; ``base``, ``low`` and ``high``
-    hold one value per row.  Float products and sums round monotonically,
-    so the gradient is monotone along the digits and the passing digits
-    form one run ``[first, stop)``, empty when ``first >= stop``.  A zero
-    slope (or -0.0) leaves the gradient at ``base``: the run is every digit
-    or none.
+    ``ext`` is as in ``_digits_below``; ``base`` holds one value per row,
+    ``low`` and ``high`` one per row or one for every row.  Float products
+    and sums round monotonically, so the gradient is monotone along the
+    digits and the passing digits form one run ``[first, stop)``, empty
+    when ``first >= stop``.  A zero slope (or -0.0) leaves the gradient at
+    ``base``: the run is every digit or none.
     """
     k = len(ext) - 3
     if slope == 0:
@@ -325,9 +330,48 @@ def _digit_run(ext, slope, base, low, high):
         slope, base, low, high = -slope, -base, -high, -low
     # g <= high holds iff g < nextafter(high, inf), so both ends of the run
     # are counts of digits below a bound, found in one walk.
-    ends = _digits_below(ext, slope, np.concatenate([base, base]),
-                         np.concatenate([low, np.nextafter(high, np.inf)]))
+    bounds = np.empty(2 * len(base))
+    bounds[: len(base)], bounds[len(base):] = low, np.nextafter(high, np.inf)
+    ends = _digits_below(ext, slope, np.concatenate([base, base]), bounds)
     return ends[: len(base)], ends[len(base):]
+
+
+def _extend_rows(digits, first, stop, tile):
+    """Yield the rows of ``digits`` extended by one digit, ``tile`` rows at a time.
+
+    Row r takes the digits ``first[r] <= d < stop[r]``, none when first[r]
+    >= stop[r]; int ``first`` and ``stop`` give every row the same run.
+    The new rows come in lexicographic order, and a tile may end inside a
+    row's run, so no more than ``tile`` rows are built at once however long
+    the runs.
+    """
+    width = digits.shape[1] + 1
+    if isinstance(stop, int):
+        # A block of rows against a block of the run, by broadcasting.
+        per = max(1, tile // (stop - first))
+        for r in range(0, len(digits), per):
+            block = digits[r:r + per]
+            for lo in range(first, stop, tile):
+                hi = min(lo + tile, stop)
+                out = np.empty((len(block), hi - lo, width), dtype=np.int64)
+                out[:, :, -1] = np.arange(lo, hi)
+                if width > 1:  # the root row has no digits to copy
+                    out[:, :, :-1] = block[:, None, :]
+                yield out.reshape(-1, width)
+        return
+    counts = np.maximum(stop - first, 0)
+    ends = np.cumsum(counts)
+    # A new row's digit is its run's first digit plus its place in the run.
+    shift = first - (ends - counts)
+    total = int(ends[-1])
+    for lo in range(0, total, tile):
+        at = np.arange(lo, min(lo + tile, total))
+        row = np.searchsorted(ends, at, side="right")
+        out = np.empty((len(at), width), dtype=np.int64)
+        out[:, :-1] = digits[row]
+        out[:, -1] = shift[row] + at
+        del at, row  # not held while the caller works on the tile
+        yield out
 
 
 def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
@@ -337,17 +381,25 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     rows are the negated max-side gradient, which turns the max-side
     conditions into min-side ones: at digit 0 ``g >= -eps``, at digit k
     ``g <= eps``, inside both.  The scan walks prefix rows (every
-    coordinate but the last) in tiles and never evaluates the gradient at
-    every lattice point.  On a row, coordinate i's gradient is ``v *
-    S[last, i] + base_i`` along the last coordinate v, with ``base_i = c_i
-    + sum_j p_j * S[j, i]`` summed term by term, so a row's value does not
-    depend on the tile.  It is monotone in v, so the last digits passing
-    coordinate i form one run (``_digit_run``).  Prefix coordinates are
-    taken flattest first (smallest ``|S[last, i]|``) and rows whose runs no
-    longer meet are dropped; a coordinate whose gradient ignores the last
-    one keeps or drops a row with one compare.  The last coordinate's own
-    conditions then split the run into digit 0, an interior run and
-    digit k.
+    coordinate but the last) in tiles of at most ``_CHUNK // 8`` rows and
+    never evaluates the gradient at every lattice point.  It builds the
+    rows one coordinate at a time (``_extend_rows``).  A coordinate i whose
+    gradient holds no later coordinate (``S[j, i] == 0`` for every j >= i)
+    is decided on the rows of the coordinates before it, before its own
+    digits are expanded: its gradient ``base_i = c_i + sum_j p_j * S[j,
+    i]`` is the same at all of its digits, so digit 0, the interior and
+    digit k each pass or fail as a block, and only the passing digits are
+    expanded.  The sum is taken term by term, and the terms it leaves out
+    are exact zeros, so the value is the one the full sum would give.
+
+    On a finished row, every other coordinate i's gradient is ``v *
+    S[last, i] + base_i`` along the last coordinate v, with ``base_i``
+    summed the same way, so a row's value does not depend on the tile.  It
+    is monotone in v, so the last digits passing coordinate i form one run
+    (``_digit_run``).  These coordinates are taken flattest first
+    (smallest ``|S[last, i]|``) and rows whose runs no longer meet are
+    dropped.  The last coordinate's own conditions then split the run into
+    digit 0, an interior run and digit k.
 
     Each run boundary is evaluated with the expression ``v * S[last, i] +
     base_i``, so a hit is exact for that float gradient: ``g >= -eps``
@@ -383,23 +435,43 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     low[k], high[0] = -np.inf, np.inf
     last = dims - 1
     slopes = S[last]
-    order = sorted(range(last), key=lambda i: abs(slopes[i]))
-
-    def base(pts, i):
-        pre = np.zeros(len(pts))
-        for j in range(last):
-            pre += pts[:, j] * S[j, i]
-        return c[i] + pre
-
-    hits = []
-    prefix_total = (k + 1) ** last
+    # Coordinate i's gradient holds coordinate j when S[j, i] != 0.
+    cols = S.T.tolist()
+    early = [not any(cols[i][i:]) for i in range(last)]
+    order = sorted([i for i in range(last) if not early[i]], key=lambda i: abs(cols[i][last]))
     # On a 4-coordinate lattice a tile's arrays peak at about 100 bytes per
     # row: 0.43 MB at _CHUNK / 8 rows under tracemalloc, 3.4 MB at _CHUNK
     # rows, which raised the process's peak RSS; 2^12 to 2^15 rows per
     # tile ran equally fast.
     tile = max(1, _CHUNK // 8)
-    for start in range(0, prefix_total, tile):
-        digits = _decode_digits(np.arange(start, min(start + tile, prefix_total)), [k + 1] * last)
+
+    def base(pts, i):
+        pre = np.zeros(len(pts))
+        for j in range(pts.shape[1]):
+            pre += pts[:, j] * S[j, i]
+        return c[i] + pre
+
+    def prefix_rows(digits):
+        # The prefix rows that extend ``digits`` (rows of the first i
+        # coordinates) and pass every early coordinate.
+        i = digits.shape[1]
+        if i == last:
+            yield digits
+            return
+        if early[i]:
+            # The terms of coordinates i and later are zeros, which leave
+            # the sum's bytes as they are.  Digit 0 passes when g >= -eps,
+            # digit k when g <= eps and the interior when both hold: the
+            # run [0 or k, k + 1 or 1).
+            g = base(vals.take(digits), i)
+            first, stop = np.where(g >= -eps, 0, k), np.where(g <= eps, k + 1, 1)
+        else:
+            first, stop = 0, k + 1
+        for rows in _extend_rows(digits, first, stop, tile):
+            yield from prefix_rows(rows)
+
+    hits = []
+    for digits in prefix_rows(np.empty((1, 0), dtype=np.int64)):
         pts = vals.take(digits)
         first, stop = np.zeros(len(pts), dtype=np.int64), np.full(len(pts), k + 1)
         for i in order:
@@ -412,7 +484,7 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
         if not n:
             continue
         g = base(pts, last)
-        f, t = _digit_run(ext, slopes[last], g, np.full(n, -eps), np.full(n, eps))
+        f, t = _digit_run(ext, slopes[last], g, -eps, eps)
         # Per row, three ordered runs of last digits: 0, the interior, k.
         # The gradient is exactly g at digit 0 (v = 0) and slope + g at k.
         starts, lengths = np.empty((2, n, 3), dtype=np.int64)
@@ -460,12 +532,16 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
       digit 0 alone, digit k alone or none.
 
     ``C[s, x]`` is the sum over x' of the length of the three runs'
-    intersection.  Rows of s are taken in tiles of at most ``_CHUNK``
-    (s, x, x') cells, or one row, and the x-runs are found per tile.  Each run boundary is
-    evaluated with the point-wise KKT cases' gradient expression, so the
-    counts are exact for those float gradients.  The KKT cells of the
-    whole lattice over an x block number ``C0[0]`` when n = 1 and
-    ``C0.T * C1`` when n = 2.
+    intersection.  The scan first intersects the x'_i and y_i runs per
+    pair (x, x'); a pair whose run is empty adds exactly 0 to ``C[s, x]``,
+    so x_i's runs are found only for the other pairs, once per distinct
+    (x', case of x), and each tile sums its run lengths per x in integers
+    with one ``np.add.reduceat``.  Rows of s are taken in tiles of at most
+    ``_CHUNK`` (s, pair) cells and ``_CHUNK / 32`` x_i runs, or one row.
+    Each run boundary is evaluated with the point-wise KKT cases' gradient
+    expression, so the counts are exact for those float gradients.  The
+    KKT cells of the whole lattice over an x block number ``C0[0]`` when
+    n = 1 and ``C0.T * C1`` when n = 2.
 
     Returns (projected, total): distinct x-block grid points admitting at
     least one full KKT extension (lexicographic order), and the total count
@@ -507,7 +583,6 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
         ends = _digit_run(ext, slope, np.tile(base.ravel(), 3), low.repeat(size), high.repeat(size))
         return [e.reshape((3,) + base.shape)[case] for e in ends]
 
-    rows = max(1, _CHUNK // (k + 1) ** 2)
     tables = []
     for i in range(n):
         t1, t2, di = theta[i, i], theta[n + i, i], gamma[i, n + i]
@@ -523,14 +598,34 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
         first, stop = (e.T for e in runs(t2, beta[n + i] + di * v))
         np.maximum(first, np.where(g_y >= -eps, 0, k), out=first)
         np.minimum(stop, np.where(g_y <= eps, k + 1, 1), out=stop)
-        C = np.empty((len(s), k + 1), dtype=np.int64)
+        # Only the pairs whose run is nonempty can add to C.  x_i's run
+        # depends on a pair only through x' and the case of x (its key).
+        x, xp = np.nonzero(first < stop)
+        first, stop = first[x, xp], stop[x, xp]
+        key = case[x] * (k + 1) + xp
+        used = np.zeros(3 * (k + 1), dtype=bool)
+        used[key] = True
+        keys = np.flatnonzero(used)
+        col = np.cumsum(used)[key] - 1  # a pair's key among the used ones
+        dx, key_low, key_high = di * v[keys % (k + 1)], low[keys // (k + 1)], high[keys // (k + 1)]
+        # np.nonzero lists the pairs x-major: each x's pairs are one group.
+        groups = np.flatnonzero(np.diff(x, prepend=-1))
+        xs = x[groups]
+        # At most _CHUNK (s, pair) cells and _CHUNK / 32 (s, key) runs a
+        # tile: a run's walk takes about 100 bytes of float temporaries, and
+        # the benchmark's n = 2 scans peak at 0.22 MB under tracemalloc
+        # (0.55 MB at _CHUNK / 8 runs a tile).
+        rows = max(1, min(_CHUNK // max(len(x), 1), _CHUNK // 32 // max(len(keys), 1)))
+        C = np.zeros((len(s), k + 1), dtype=np.int64)
         for lo in range(0, len(s), rows):
-            # Per (x, s, x'), the y run passing x_i as well.
-            f, t = runs(t1, s[lo:lo + rows, None] + di * v)
-            np.maximum(f, first[:, None, :], out=f)
-            np.minimum(t, stop[:, None, :], out=t)
-            np.subtract(t, f, out=t)
-            C[lo:lo + rows] = np.maximum(t, 0).sum(axis=2).T
+            base = s[lo:lo + rows, None] + dx
+            r = len(base)
+            f, t = _digit_run(ext, t1, base.ravel(), np.tile(key_low, r), np.tile(key_high, r))
+            # Per (s, pair), the part of the pair's run that passes x_i too.
+            f, t = f.reshape(r, -1)[:, col], t.reshape(r, -1)[:, col]
+            length = np.minimum(t, stop) - np.maximum(f, first)
+            np.maximum(length, 0, out=length)
+            C[lo:lo + r, xs] = np.add.reduceat(length, groups, axis=1, dtype=np.int64)
         tables.append(C)
     table = tables[0][0] if n == 1 else tables[0].T * tables[1]
     hits = np.nonzero(table)

@@ -436,6 +436,18 @@ def test_reduced_two_variable_qps_pull_back_at_delta():
                                                         basis_profile.strategies)), trial
 
 
+def test_reduced_six_variable_qps_solve_at_delta():
+    # Most paths end at one equilibrium, apart by float error that matters
+    # at delta from n = 6 on: the winner must be ranked by the objective of
+    # its own strategies (a rank read off the cost levels u fails three of
+    # these six draws).
+    for s in range(6):
+        q = random_quadratic(6, 1.0 / 13.0, np.random.default_rng(6000 + s))
+        game, structure, params = reduce_full(q)
+        _, report = solve(game, structure, epsilon=params.delta, seed=0)
+        assert report.passed, (s, report.max_regret / params.delta)
+
+
 def test_solve_runs_no_lp(monkeypatch):
     # The certificate comes off the final Lemke basis; no LP is solved.
     def no_lp(*args, **kwargs):

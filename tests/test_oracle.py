@@ -474,6 +474,42 @@ def test_grid_kkt_points_degenerate_runs(case, monkeypatch):
         assert np.array_equal(grid_kkt_points(inst, k, eps), want)
 
 
+# Lattices with coordinates whose gradients hold no later coordinate, which
+# the scan decides before it expands their digits: every y but the last of
+# a minmax instance, and x_2 of the quadratic.  The quadratic's x_0 and x_1
+# ignore the last coordinate, but x_0's gradient holds x_1 and x_1's holds
+# its own, so neither may be decided early.  (instance, grid, epsilon)
+EARLY_KKT_CASES = {
+    "minmax-1x2": ((1, 2), 16, 0.3),
+    "minmax-2x2": ((2, 2), 8, 0.4),
+    "minmax-1x3": ((1, 3), 8, 0.4),
+    "minmax-2x3": ((2, 3), 5, 0.5),
+    "quadratic-zeroed-cross": (QuadraticInstance(n=5, constant=0, linear=[0.08, -0.31, -0.26, -0.25, 0.97],
+                                                 cross=[[0, 0.27, 0.35, 0, 0], [0, 0, 0, 0, 0],
+                                                        [0, 0, 0, 0, 0], [0, 0, 0, 0, -0.34],
+                                                        [0, 0, 0, 0, 0]],
+                                                 square=[0, 0.36, 0, -0.75, -0.9], epsilon=0.3), 5, 0.3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_KKT_CASES))
+def test_grid_kkt_points_decides_coordinates_early(case, monkeypatch):
+    inst, k, eps = EARLY_KKT_CASES[case]
+    if isinstance(inst, tuple):
+        n_x, n_y = inst
+        rng = np.random.default_rng(sorted(EARLY_KKT_CASES).index(case))
+        inst = MinmaxIndInstance(n_x=n_x, n_y=n_y, alpha=0, beta=rng.uniform(-1, 1, n_x),
+                                 gamma=random_cross(rng, n_x), zeta=rng.uniform(-1, 1, n_y),
+                                 theta=rng.uniform(-1, 1, (n_x, n_y)), epsilon=eps)
+    want = definitional_kkt_points(inst, k, eps)
+    assert 0 < len(want) < (k + 1) ** want.shape[1]
+    # Tiles of 1, 8 and 4096 prefix rows.
+    for chunk in (oracle._CHUNK, 8, 64):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        got = grid_kkt_points(inst, k, eps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [32766, 32767, 40000])
 def test_grid_kkt_points_beyond_the_int16_range(k):
     # Run ends reach k + 1 and the walk reads one digit past them, so the
@@ -646,6 +682,33 @@ def test_stage1_scan_zero_slopes(case, monkeypatch):
     assert 0 < len(direct) < (k + 1) ** (3 * n)
     want = np.unique(direct[:, :n], axis=0), len(direct)
     for chunk in (oracle._CHUNK, 5, 50):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        assert_stage1_matches_direct(m, k, eps, want)
+
+
+@pytest.mark.parametrize("n, k", [(1, 10), (2, 3)])
+def test_stage1_scan_with_every_pair_dense(n, k, monkeypatch):
+    # Just above the epsilon at which every (x_i, x'_i) pair has a y_i
+    # passing both x'_i and y_i, so the scan can skip no pair.
+    m, _ = reduced_random_qp(np.random.default_rng(30 + n), n)
+    digits = np.array(list(itertools.product(range(k + 1), repeat=3 * n)))
+    x, y = digits[:, : 2 * n] / k, digits[:, 2 * n :] / k
+    # A max variable's conditions are the min-side ones of -gradient; a
+    # cell's least passing epsilon is then -g at digit 0, g at k, |g| inside.
+    grads = np.hstack([m.beta + x @ (m.gamma + m.gamma.T) + y @ m.theta.T, -(m.zeta + x @ m.theta)])
+    least = np.where(digits == 0, -grads, np.where(digits == k, grads, np.abs(grads)))
+    eps = 0.0
+    for i in range(n):
+        pair_least = np.full((k + 1) ** 2, np.inf)
+        np.minimum.at(pair_least, digits[:, i] * (k + 1) + digits[:, n + i],
+                      np.maximum(least[:, n + i], least[:, 2 * n + i]))
+        eps = max(eps, 1.01 * pair_least.max())
+    direct = definitional_kkt_points(m, k, eps)
+    assert 0 < len(direct) < len(digits)
+    want = np.unique(direct[:, :n], axis=0), len(direct)
+    # Every (x'_i, case of x_i) key is used, so at n = 2 a tile holds
+    # _CHUNK / 32 // 12 rows of s: all four, one, and two.
+    for chunk in (oracle._CHUNK, 5, 800):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert_stage1_matches_direct(m, k, eps, want)
 

@@ -7,28 +7,29 @@ algorithmic path with the solvers they are used to check.  Budget guards
 are hard errors, checked on ``simplex_grid_size`` products before any grid
 is built: a truncated oracle is worse than none.
 
-The regret and minimax scans walk their lattices in ``_prefix_tiles``:
-only the digits of the axes before the last (the prefix) are decoded, and
-the last axis is a block, so per-prefix terms are computed once per prefix
+The regret, minimax and KKT-lattice scans take their prefix rows (every
+axis but the last) from one walker, ``_prefix_rows``, which builds them
+one coordinate at a time, in tiles, in lexicographic order.  The regret
+and minimax scans take every digit of every prefix axis and treat the
+last axis as a block, so per-prefix terms are computed once per prefix
 row.  They write every action's value on a tile as a row per prefix times
 a column per block, and ``_max_product`` takes one matrix product per
 player (or adversary) and a running maximum over actions; no outer sum is
 built.  The products round differently from sums taken term by term, by
 about 1e-16, so these scans agree with the definitional verifiers to 1e-12
-rather than bit for bit.  The KKT-lattice scan builds its prefix rows one
-coordinate at a time, and a coordinate whose gradient holds no later
-coordinate is decided on the rows before its digits are expanded: digit
-0, the interior and digit k pass or fail as blocks.  It never evaluates
-the gradient at every lattice point: on a finished row each other
-gradient coordinate is monotone along the last axis, so its passing last
-digits form one run, whose ends it finds from an arithmetic guess and a
-walk that compares the gradient itself.  Its per-row terms are summed
-term by term, so its hits do not depend on the tile.  The stage-1 scan
-counts KKT cells per index with the same runs: along y_i each variable's
-conditions pass one run of digits, x_i's runs are found only for the
-(x_i, x'_i) pairs whose x'_i and y_i run is nonempty, and a cell count is
-the length of the runs' intersection, in integers.  No scan calls the
-point-wise verifiers.
+rather than bit for bit.  The KKT-lattice scan narrows the walk: a
+coordinate whose gradient holds no later coordinate is decided on the rows
+before its digits are expanded (digit 0, the interior and digit k pass or
+fail as blocks).  It never evaluates the gradient at every lattice point:
+on a finished row each other gradient coordinate is monotone along the
+last axis, so its passing last digits form one run, whose ends it finds
+from an arithmetic guess and a walk that compares the gradient itself.
+Its per-row terms are summed term by term, so its hits do not depend on
+the tile.  The stage-1 scan counts KKT cells per index with the same runs:
+along y_i each variable's conditions pass one run of digits, x_i's runs
+are found only for the (x_i, x'_i) pairs whose x'_i and y_i run is
+nonempty, and a cell count is the length of the runs' intersection, in
+integers.  No scan calls the point-wise verifiers.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ from .instances import verify_min_kkt, verify_minmax_kkt  # noqa: F401
 from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 DEFAULT_BUDGET = 10_000_000
-# Points per scan tile (the KKT-lattice scan takes _CHUNK / 8 prefix rows
-# per tile).  On a 2-vCPU host, in 10 alternating runs of the benchmark's
-# oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%, 10/10) and
-# on peak RSS (-10%) with the tail latency flat; tiles of 2^20 ran the mix
-# about 25% slower than 2^16.
+# Points per regret or minimax tile: _CHUNK // B prefix rows against a
+# block of B <= _CHUNK last digits (the KKT-lattice scan walks _CHUNK / 8
+# prefix rows per tile).  On a 2-vCPU host, in 10 alternating runs of the
+# benchmark's oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%,
+# 10/10) and on peak RSS (-10%) with the tail latency flat; tiles of 2^20
+# ran the mix about 25% slower than 2^16.
 _CHUNK = 1 << 15
 # Constraint rows that enumerate_lp_vertices accepts, counting the row
 # x_i >= 0 of each nonnegative variable.
@@ -114,6 +116,9 @@ def simplex_grid_size(m: int, k: int) -> int:
 
 
 def _decode_digits(ids: np.ndarray, sizes) -> np.ndarray:
+    """Flat lattice ids to digits.  No scan calls it: it stays as the site
+    the benchmark's traced run counts (``oracle.chunks``) until the
+    benchmark reads the scans' own work counts."""
     digits = np.empty((len(ids), len(sizes)), dtype=np.int64)
     rem = ids.copy()
     for i in reversed(range(len(sizes))):
@@ -122,27 +127,62 @@ def _decode_digits(ids: np.ndarray, sizes) -> np.ndarray:
     return digits
 
 
-def _prefix_tiles(sizes):
-    """Walk the lattice ``range(sizes[0]) x ... x range(sizes[-1])`` in tiles.
+def _extend_rows(digits, first, stop, tile):
+    """Yield the rows of ``digits`` extended by one digit, ``tile`` rows at a time.
 
-    Yields ``(prefix, lo, hi)``: the decoded digits of a run of consecutive
-    prefixes (every axis but the last; shape (T, len(sizes) - 1)) and a
-    block ``[lo, hi)`` of the last axis.  The tile's points are every prefix
-    row against every block index, prefix-major, so concatenating the tiles
-    gives lexicographic order.  A tile holds at most ``_CHUNK`` points (read
-    at call time); when the last axis alone is longer, each tile is one
-    prefix row against a block of it.
+    Row r takes the digits ``first[r] <= d < stop[r]``, none when first[r]
+    >= stop[r]; int ``first`` and ``stop`` give every row the same run.
+    The new rows come in lexicographic order, and a tile may end inside a
+    row's run, so no more than ``tile`` rows are built at once however long
+    the runs.
     """
-    chunk = _CHUNK
-    prefix_sizes, last = list(sizes[:-1]), sizes[-1]
-    prefix_total = math.prod(prefix_sizes)
-    block = min(last, chunk)
-    tile = max(1, chunk // block)
-    for start in range(0, prefix_total, tile):
-        ids = np.arange(start, min(start + tile, prefix_total), dtype=np.int64)
-        prefix = _decode_digits(ids, prefix_sizes)
-        for lo in range(0, last, block):
-            yield prefix, lo, min(lo + block, last)
+    width = digits.shape[1] + 1
+    if isinstance(stop, int):
+        # A block of rows against a block of the run, by broadcasting.
+        per = max(1, tile // (stop - first))
+        for r in range(0, len(digits), per):
+            block = digits[r:r + per]
+            for lo in range(first, stop, tile):
+                hi = min(lo + tile, stop)
+                out = np.empty((len(block), hi - lo, width), dtype=np.int64)
+                out[:, :, -1] = np.arange(lo, hi)
+                if width > 1:  # the root row has no digits to copy
+                    out[:, :, :-1] = block[:, None, :]
+                yield out.reshape(-1, width)
+        return
+    counts = np.maximum(stop - first, 0)
+    ends = np.cumsum(counts)
+    # A new row's digit is its run's first digit plus its place in the run.
+    shift = first - (ends - counts)
+    total = int(ends[-1])
+    for lo in range(0, total, tile):
+        at = np.arange(lo, min(lo + tile, total))
+        row = np.searchsorted(ends, at, side="right")
+        out = np.empty((len(at), width), dtype=np.int64)
+        out[:, :-1] = digits[row]
+        out[:, -1] = shift[row] + at
+        del at, row  # not held while the caller works on the tile
+        yield out
+
+
+def _prefix_rows(width, tile, runs):
+    """Yield the rows of the first ``width`` coordinates, ``tile`` rows at a time.
+
+    From the root row (no digits), each coordinate extends a tile of rows
+    with ``_extend_rows`` by the run ``(first, stop) = runs(rows)``, ints
+    when every row takes the same run; an empty run drops a row.  Tiles
+    come in lexicographic order; a width-0 walk yields the root row alone.
+    """
+
+    def walk(rows):
+        if rows.shape[1] == width:
+            yield rows
+            return
+        first, stop = runs(rows)
+        for tile_rows in _extend_rows(rows, first, stop, tile):
+            yield from walk(tile_rows)
+
+    yield from walk(np.empty((1, 0), dtype=np.int64))
 
 
 def _max_product(L, R):
@@ -165,10 +205,11 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
     """Yield (digits, max_regret) chunks over every grid profile.
 
     ``digits[:, i]`` indexes player i's simplex grid.  Chunks come in
-    lexicographic order of the digit tuples, one per ``_prefix_tiles``
-    tile.  A chunk's ``digits`` is a fresh int64 array in column-major
-    order (each player's column is filled as one run) and its
-    ``max_regret`` is fresh too, so a caller may keep every chunk.
+    lexicographic order of the digit tuples, one per tile of prefix rows
+    (``_prefix_rows``) and block of the last player's grid, at most
+    ``_CHUNK`` profiles each.  A chunk's ``digits`` is a fresh int64 array
+    in column-major order (each player's column is filled as one run) and
+    its ``max_regret`` is fresh too, so a caller may keep every chunk.
 
     Player i's payoffs at a point are ``v = pre + tail``: ``pre`` sums its
     columns from the prefix players, ``tail`` is its column from the last
@@ -203,25 +244,28 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
             pre += cols.take(prefix[:, j], axis=1)
         return pre
 
-    for prefix, lo, hi in _prefix_tiles(sizes):
-        pre = payoff_rows(last, prefix)
-        max_regret = np.vstack([functools.reduce(np.maximum, pre), pre]).T @ R_last[:, lo:hi]
-        row_regret = np.zeros(len(prefix))
-        for i in range(last):
-            pre, x = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=1)
-            achieved = np.einsum("kc,kc->c", x, pre)
-            if i not in R:
-                np.maximum(row_regret, functools.reduce(np.maximum, pre) - achieved, out=row_regret)
-                continue
-            L = np.empty((1 + counts[i], counts[i], len(prefix)))
-            np.subtract(pre, achieved, out=L[0])
-            np.subtract(np.eye(counts[i])[:, :, None], x[:, None, :], out=L[1:])
-            np.maximum(max_regret, _max_product(L, R[i][:, lo:hi]), out=max_regret)
-        np.maximum(max_regret, row_regret[:, None], out=max_regret)
-        digits = np.empty((last + 1, len(prefix), hi - lo), dtype=np.int64)
-        digits[:last] = prefix.T[:, :, None]
-        digits[last] = np.arange(lo, hi)
-        yield digits.reshape(last + 1, -1).T, max_regret.ravel()
+    block = min(sizes[last], _CHUNK)
+    for prefix in _prefix_rows(last, max(1, _CHUNK // block), lambda p: (0, sizes[p.shape[1]])):
+        for lo in range(0, sizes[last], block):
+            hi = min(lo + block, sizes[last])
+            pre = payoff_rows(last, prefix)
+            max_regret = np.vstack([functools.reduce(np.maximum, pre), pre]).T @ R_last[:, lo:hi]
+            row_regret = np.zeros(len(prefix))
+            for i in range(last):
+                pre, x = payoff_rows(i, prefix), grids[i].take(prefix[:, i], axis=1)
+                achieved = np.einsum("kc,kc->c", x, pre)
+                if i not in R:
+                    np.maximum(row_regret, functools.reduce(np.maximum, pre) - achieved, out=row_regret)
+                    continue
+                L = np.empty((1 + counts[i], counts[i], len(prefix)))
+                np.subtract(pre, achieved, out=L[0])
+                np.subtract(np.eye(counts[i])[:, :, None], x[:, None, :], out=L[1:])
+                np.maximum(max_regret, _max_product(L, R[i][:, lo:hi]), out=max_regret)
+            np.maximum(max_regret, row_regret[:, None], out=max_regret)
+            digits = np.empty((last + 1, len(prefix), hi - lo), dtype=np.int64)
+            digits[:last] = prefix.T[:, :, None]
+            digits[last] = np.arange(lo, hi)
+            yield digits.reshape(last + 1, -1).T, max_regret.ravel()
 
 
 def grid_profile(game: PolymatrixGame, grid, digits) -> StrategyProfile:
@@ -336,44 +380,6 @@ def _digit_run(ext, slope, base, low, high):
     return ends[: len(base)], ends[len(base):]
 
 
-def _extend_rows(digits, first, stop, tile):
-    """Yield the rows of ``digits`` extended by one digit, ``tile`` rows at a time.
-
-    Row r takes the digits ``first[r] <= d < stop[r]``, none when first[r]
-    >= stop[r]; int ``first`` and ``stop`` give every row the same run.
-    The new rows come in lexicographic order, and a tile may end inside a
-    row's run, so no more than ``tile`` rows are built at once however long
-    the runs.
-    """
-    width = digits.shape[1] + 1
-    if isinstance(stop, int):
-        # A block of rows against a block of the run, by broadcasting.
-        per = max(1, tile // (stop - first))
-        for r in range(0, len(digits), per):
-            block = digits[r:r + per]
-            for lo in range(first, stop, tile):
-                hi = min(lo + tile, stop)
-                out = np.empty((len(block), hi - lo, width), dtype=np.int64)
-                out[:, :, -1] = np.arange(lo, hi)
-                if width > 1:  # the root row has no digits to copy
-                    out[:, :, :-1] = block[:, None, :]
-                yield out.reshape(-1, width)
-        return
-    counts = np.maximum(stop - first, 0)
-    ends = np.cumsum(counts)
-    # A new row's digit is its run's first digit plus its place in the run.
-    shift = first - (ends - counts)
-    total = int(ends[-1])
-    for lo in range(0, total, tile):
-        at = np.arange(lo, min(lo + tile, total))
-        row = np.searchsorted(ends, at, side="right")
-        out = np.empty((len(at), width), dtype=np.int64)
-        out[:, :-1] = digits[row]
-        out[:, -1] = shift[row] + at
-        del at, row  # not held while the caller works on the tile
-        yield out
-
-
 def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     """All box-lattice points passing the matching KKT verifier at epsilon.
 
@@ -383,7 +389,7 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     ``g <= eps``, inside both.  The scan walks prefix rows (every
     coordinate but the last) in tiles of at most ``_CHUNK // 8`` rows and
     never evaluates the gradient at every lattice point.  It builds the
-    rows one coordinate at a time (``_extend_rows``).  A coordinate i whose
+    rows one coordinate at a time (``_prefix_rows``).  A coordinate i whose
     gradient holds no later coordinate (``S[j, i] == 0`` for every j >= i)
     is decided on the rows of the coordinates before it, before its own
     digits are expanded: its gradient ``base_i = c_i + sum_j p_j * S[j,
@@ -439,11 +445,6 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     cols = S.T.tolist()
     early = [not any(cols[i][i:]) for i in range(last)]
     order = sorted([i for i in range(last) if not early[i]], key=lambda i: abs(cols[i][last]))
-    # On a 4-coordinate lattice a tile's arrays peak at about 100 bytes per
-    # row: 0.43 MB at _CHUNK / 8 rows under tracemalloc, 3.4 MB at _CHUNK
-    # rows, which raised the process's peak RSS; 2^12 to 2^15 rows per
-    # tile ran equally fast.
-    tile = max(1, _CHUNK // 8)
 
     def base(pts, i):
         pre = np.zeros(len(pts))
@@ -451,27 +452,24 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
             pre += pts[:, j] * S[j, i]
         return c[i] + pre
 
-    def prefix_rows(digits):
-        # The prefix rows that extend ``digits`` (rows of the first i
-        # coordinates) and pass every early coordinate.
+    def runs(digits):
+        # The digits of coordinate i that may extend rows of the first i.
         i = digits.shape[1]
-        if i == last:
-            yield digits
-            return
-        if early[i]:
-            # The terms of coordinates i and later are zeros, which leave
-            # the sum's bytes as they are.  Digit 0 passes when g >= -eps,
-            # digit k when g <= eps and the interior when both hold: the
-            # run [0 or k, k + 1 or 1).
-            g = base(vals.take(digits), i)
-            first, stop = np.where(g >= -eps, 0, k), np.where(g <= eps, k + 1, 1)
-        else:
-            first, stop = 0, k + 1
-        for rows in _extend_rows(digits, first, stop, tile):
-            yield from prefix_rows(rows)
+        if not early[i]:
+            return 0, k + 1
+        # The terms of coordinates i and later are zeros, which leave the
+        # sum's bytes as they are.  Digit 0 passes when g >= -eps, digit k
+        # when g <= eps and the interior when both hold: the run [0 or k,
+        # k + 1 or 1).
+        g = base(vals.take(digits), i)
+        return np.where(g >= -eps, 0, k), np.where(g <= eps, k + 1, 1)
 
     hits = []
-    for digits in prefix_rows(np.empty((1, 0), dtype=np.int64)):
+    # On a 4-coordinate lattice a tile's arrays peak at about 100 bytes per
+    # row: 0.43 MB at _CHUNK / 8 rows under tracemalloc, 3.4 MB at _CHUNK
+    # rows, which raised the process's peak RSS; 2^12 to 2^15 rows per
+    # tile ran equally fast.
+    for digits in _prefix_rows(last, max(1, _CHUNK // 8), runs):
         pts = vals.take(digits)
         first, stop = np.zeros(len(pts), dtype=np.int64), np.full(len(pts), k + 1)
         for i in order:
@@ -797,7 +795,8 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
 
     best = np.inf
     rows = None
-    for digits, lo, hi in _prefix_tiles(sizes):
+    block = min(sizes[last], _CHUNK)
+    for digits in _prefix_rows(last, max(1, _CHUNK // block), lambda p: (0, sizes[p.shape[1]])):
         # L[j] holds an identity block below its per-prefix rows; rebuilt
         # only when the number of prefix rows changes.
         if rows != len(digits):
@@ -820,9 +819,8 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
             A[:] = base if j == first else 0.0
             for t in range(last):
                 A += W[j][t].take(digits[:, t], axis=1)
-            if j == first:
-                value = _max_product(L[j], R[j][:, lo:hi])
-            else:
-                value += _max_product(L[j], R[j][:, lo:hi])
-        best = min(best, float(value.min()))
+        for lo in range(0, sizes[last], block):
+            hi = min(lo + block, sizes[last])
+            value = functools.reduce(operator.iadd, (_max_product(L[j], R[j][:, lo:hi]) for j in ys))
+            best = min(best, float(value.min()))
     return best

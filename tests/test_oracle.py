@@ -127,6 +127,39 @@ def test_budget_guards_run_before_any_grid_is_built(monkeypatch):
     assert err.value.required == simplex_grid_size(3, 10**6) * simplex_grid_size(2, 10**6)
 
 
+def walker_bounds(sizes, row):
+    """The early run of the rule in test_prefix_rows_is_the_filtered_product:
+    coordinate len(row) takes [first, stop), empty when the digit sum of
+    ``row`` is a multiple of 3."""
+    total, size = sum(row), sizes[len(row)]
+    first = total % size
+    return first, min(size, first + total % 3)
+
+
+@pytest.mark.parametrize("early", [False, True])
+@pytest.mark.parametrize("tile", [1, 2, 5, 7, 100])
+@pytest.mark.parametrize("sizes", [[], [3], [2, 3], [4, 1, 3], [3, 5, 2, 4], [6, 4, 5]])
+def test_prefix_rows_is_the_filtered_product(sizes, tile, early):
+    # Full runs (ints) on even coordinates; with ``early``, odd coordinates
+    # take a per-row run that may be empty, so rows are dropped mid-walk and
+    # tiles end inside parents' runs at every level.
+    def runs(rows):
+        i = rows.shape[1]
+        if not early or i % 2 == 0:
+            return 0, sizes[i]
+        first, stop = zip(*(walker_bounds(sizes, row) for row in rows.tolist()))
+        return np.array(first), np.array(stop)
+
+    def passes(row):
+        return not early or all(first <= row[i] < stop for i in range(1, len(row), 2)
+                                for first, stop in [walker_bounds(sizes, row[:i])])
+
+    want = [row for row in itertools.product(*map(range, sizes)) if passes(row)]
+    tiles = list(oracle._prefix_rows(len(sizes), tile, runs))
+    assert all(t.dtype == np.int64 and t.shape[1] == len(sizes) and 0 < len(t) <= tile for t in tiles)
+    assert [tuple(row) for t in tiles for row in t.tolist()] == want
+
+
 def regret_game(counts, edges, rng, integer=False):
     g = PolymatrixGame(counts)
     for a, b in edges:
@@ -177,7 +210,9 @@ def test_scan_regrets_agree_with_best_response_path(case, monkeypatch):
     # verify_epsilon_nash on every profile, in lexicographic order, whatever
     # the tiling.
     g, k, want_digits, want = regret_case(case)
-    for chunk in (oracle._CHUNK, 3, 7):
+    # At 20, stage2-shape walks tiles of 4 prefix rows over axes of 5
+    # digits, so tiles end inside a parent's run below the first axis.
+    for chunk in (oracle._CHUNK, 3, 7, 20):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         digits, regrets = [], []
         for d, r in iter_profile_regrets(g, k):

@@ -69,13 +69,11 @@ def cmd_gen(args) -> int:
         n_y = args.ny if args.ny is not None else args.n
         inst = instances.random_minmax(n_x, n_y, args.epsilon, rng)
         _write_json(args.out, instances.instance_to_dict(inst))
-    elif args.kind == "two-team":
+    else:  # two-team
         n_x = args.nx if args.nx is not None else args.n
         n_y = args.ny if args.ny is not None else args.n
         game, structure = game_core.random_two_team(n_x, n_y, args.m, args.independent, rng)
         _write_json(args.out, game_core.game_to_dict(game, structure))
-    else:
-        raise UsageError(f"unknown kind {args.kind!r}")
     print(f"wrote {args.out}")
     return EXIT_PASS
 
@@ -102,7 +100,7 @@ def cmd_reduce(args) -> int:
         game, structure, p2 = reductions.reduce_stage2(inst)
         _write_json(args.out, game_core.game_to_dict(game, structure))
         _write_json(params_path, {"stage": 2, **asdict(p2)})
-    elif args.stage == "full":
+    else:  # full
         if not isinstance(inst, instances.QuadraticInstance):
             raise UsageError("full reduction expects a quadratic instance file")
         try:
@@ -111,8 +109,6 @@ def cmd_reduce(args) -> int:
             raise UsageError(str(exc)) from exc
         _write_json(args.out, game_core.game_to_dict(game, structure))
         _write_json(params_path, {"stage": "full", **asdict(params), "delta": params.delta})
-    else:
-        raise UsageError(f"unknown stage {args.stage!r}")
     print(f"wrote {args.out} and {params_path}")
     return EXIT_PASS
 
@@ -151,6 +147,15 @@ def cmd_solve(args) -> int:
 # verify
 
 
+def _box_point(values) -> instances.BoxPoint:
+    """A point file's coordinates, which must lie in [0, 1]: ``BoxPoint``
+    would clamp them, and the verifier would judge another point."""
+    point = instances.BoxPoint(values)
+    if not np.array_equal(point.values, values):
+        raise ValueError("coordinates must lie in [0, 1]")
+    return point
+
+
 def cmd_verify(args) -> int:
     if args.kind == "nash":
         if not args.game or not args.profile:
@@ -179,11 +184,11 @@ def cmd_verify(args) -> int:
             raise ValueError('expected a JSON object with an "x" entry')
         if not game_core.is_json_numbers([data["x"], data.get("y", [])]):
             raise ValueError("coordinates must be JSON numbers")
-        x = instances.BoxPoint(data["x"])
+        x = _box_point(data["x"])
         if args.kind == "min-kkt":
             report = instances.verify_min_kkt(inst, x, args.epsilon)
         else:
-            point = instances.MinmaxPoint(x, instances.BoxPoint(data.get("y", [])))
+            point = instances.MinmaxPoint(x, _box_point(data.get("y", [])))
             report = instances.verify_minmax_kkt(inst, point, args.epsilon)
     except ValueError as exc:
         raise UsageError(f"bad point file: {args.point}: {exc}") from exc
@@ -217,19 +222,18 @@ def cmd_oracle(args) -> int:
         if len(pts) > 50:
             print(f"... {len(pts) - 50} more")
         return EXIT_PASS
-    if args.task == "minimax":
-        if not args.game:
-            raise UsageError("oracle minimax needs --game")
-        game, structure = _load(args.game, game_core.game_from_dict)
-        if structure is None:
-            raise UsageError("game file carries no teams block")
-        try:
-            value = oracle.grid_minimax_value(game, structure, args.grid, budget=args.budget)
-        except ValueError as exc:  # dependent adversaries or failed validation
-            raise UsageError(str(exc)) from exc
-        print(f"grid minimax value {value:.12g}")
-        return EXIT_PASS
-    raise UsageError(f"unknown oracle task {args.task!r}")
+    # minimax
+    if not args.game:
+        raise UsageError("oracle minimax needs --game")
+    game, structure = _load(args.game, game_core.game_from_dict)
+    if structure is None:
+        raise UsageError("game file carries no teams block")
+    try:
+        value = oracle.grid_minimax_value(game, structure, args.grid, budget=args.budget)
+    except ValueError as exc:  # dependent adversaries or failed validation
+        raise UsageError(str(exc)) from exc
+    print(f"grid minimax value {value:.12g}")
+    return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,12 @@ class DualMinProgram:
         return np.array([c.max() for c in self.adversary_payoffs(x)], dtype=float)
 
     def objective(self, x: list) -> float:
+        """-s.coord.s + sum_j gamma_j, from elementwise products summed with
+        ``math.fsum`` rather than BLAS, so the value does not depend on where
+        ``coord`` sits in memory."""
         s = np.concatenate(x)
-        return -float(s @ self.coord @ s) + float(self.gamma_of(x).sum())
+        value = -math.fsum((self.coord * np.outer(s, s)).ravel())
+        return value + sum(max(math.fsum(row * s) for row in rows) for rows in self.cross)
 
     def linear_part(self, x: list) -> np.ndarray:
         """Gradient of the coordination term over s: block a is -sum_{b != a} A^{a,b} x_b."""
@@ -423,10 +427,10 @@ def find_kkt_point(prog: DualMinProgram, seed: int = 0, trace: list | None = Non
     ``NUM_COVERS - 1`` are drawn from ``seed``.  The paths pivot in
     lockstep in one stacked tableau (``_lemke_paths``), each exactly as
     it would alone.  Different covering vectors can end at different
-    equilibria; the one with the lowest objective wins, the first path
-    of equal ones.  A path's objective is taken from its strategies with
-    elementwise products and ``math.fsum`` rather than BLAS, so the
-    winner does not depend on where ``prog.coord`` sits in memory.
+    equilibria; the one with the lowest ``prog.objective`` wins, the
+    first path of equal ones, and its value is the result's
+    ``objective``.  That objective uses no BLAS, so the winner does not
+    depend on where ``prog.coord`` sits in memory.
     ``MAX_ITER``, read at each call, caps the pivots of each path, and
     ``iterations`` counts the pivots of all paths.  The winner's
     ``certificate`` (mu, lambda, nu) is read off its final basis, its
@@ -447,23 +451,21 @@ def find_kkt_point(prog: DualMinProgram, seed: int = 0, trace: list | None = Non
         pivots += len(z0_values)
         if solution is None:
             continue
-        s = np.concatenate(_strategies(solution[1], offsets, prog.xs))
-        value = -math.fsum((prog.coord * np.outer(s, s)).ravel())
-        value += sum(max(math.fsum(row * s) for row in rows) for rows in prog.cross)
+        x = _strategies(solution[1], offsets, prog.xs)
+        value = prog.objective(x)
         if best is None or value < best[0]:
-            best = (value, solution)
+            best = (value, x, solution)
     if best is None:
         raise NonConvergenceError(
             f"find_kkt_point: none of {NUM_COVERS} complementary paths reached a solution"
         )
-    w, z = best[1]
-    x = _strategies(z, offsets, prog.xs)
+    value, x, (w, z) = best
     gamma = prog.gamma_of(x)
     cert = _basis_certificate(prog, w, z, offsets, shift)
     residual = certificate_violation(prog, x, gamma, cert)
     return KKTSearchResult(
         x=x, gamma=gamma, residual=residual, converged=residual <= CERTIFICATE_TOL,
-        iterations=pivots, objective=prog.objective(x), certificate=cert,
+        iterations=pivots, objective=value, certificate=cert,
     )
 
 

@@ -7,29 +7,29 @@ algorithmic path with the solvers they are used to check.  Budget guards
 are hard errors, checked on ``simplex_grid_size`` products before any grid
 is built: a truncated oracle is worse than none.
 
-The regret, minimax and KKT-lattice scans take their prefix rows (every
-axis but the last) from one walker, ``_prefix_rows``, which builds them
-one coordinate at a time, in tiles, in lexicographic order.  The regret
-and minimax scans take every digit of every prefix axis and treat the
+The regret, minimax and KKT-lattice scans take their rows from one
+walker, ``_prefix_rows``, which builds them one coordinate at a time, in
+tiles, in lexicographic order.  The regret and minimax scans walk the
+prefix rows (every axis but the last), take every digit and treat the
 last axis as a block, so per-prefix terms are computed once per prefix
 row.  They write every action's value on a tile as a row per prefix times
 a column per block, and ``_max_product`` takes one matrix product per
 player (or adversary) and a running maximum over actions; no outer sum is
 built.  The products round differently from sums taken term by term, by
 about 1e-16, so these scans agree with the definitional verifiers to 1e-12
-rather than bit for bit.  The KKT-lattice scan narrows the walk: a
-coordinate whose gradient holds no later coordinate is decided on the rows
-before its digits are expanded (digit 0, the interior and digit k pass or
-fail as blocks).  It never evaluates the gradient at every lattice point:
-on a finished row each other gradient coordinate is monotone along the
-last axis, so its passing last digits form one run, whose ends it finds
-from an arithmetic guess and a walk that compares the gradient itself.
-Its per-row terms are summed term by term, so its hits do not depend on
-the tile.  The stage-1 scan counts KKT cells per index with the same runs:
-along y_i each variable's conditions pass one run of digits, x_i's runs
-are found only for the (x_i, x'_i) pairs whose x'_i and y_i run is
-nonempty, and a cell count is the length of the runs' intersection, in
-integers.  No scan calls the point-wise verifiers.
+rather than bit for bit.  The KKT-lattice scan walks every axis and
+narrows each to runs before its digits are expanded, so the rows it walks
+are its hits.  A coordinate whose gradient holds no later coordinate
+passes one run (digit 0, the interior and digit k pass or fail as
+blocks).  Along the last axis each other gradient coordinate is
+monotone, so its passing last digits form one run, whose ends the scan
+finds from an arithmetic guess and a walk that compares the gradient
+itself.  Its per-row terms are summed term by term, so its hits do not
+depend on the tile.  The stage-1 scan counts KKT cells per index with the
+same runs: along y_i each variable's conditions pass one run of digits,
+x_i's runs are found only for the (x_i, x'_i) pairs whose x'_i and y_i
+run is nonempty, and a cell count is the length of the runs'
+intersection, in integers.  No scan calls the point-wise verifiers.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 DEFAULT_BUDGET = 10_000_000
 # Points per regret or minimax tile: _CHUNK // B prefix rows against a
 # block of B <= _CHUNK last digits (the KKT-lattice scan walks _CHUNK / 8
-# prefix rows per tile).  On a 2-vCPU host, in 10 alternating runs of the
+# rows per tile).  On a 2-vCPU host, in 10 alternating runs of the
 # benchmark's oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%,
 # 10/10) and on peak RSS (-10%) with the tail latency flat; tiles of 2^20
 # ran the mix about 25% slower than 2^16.
@@ -132,9 +132,11 @@ def _extend_rows(digits, first, stop, tile):
 
     Row r takes the digits ``first[r] <= d < stop[r]``, none when first[r]
     >= stop[r]; int ``first`` and ``stop`` give every row the same run.
-    The new rows come in lexicographic order, and a tile may end inside a
-    row's run, so no more than ``tile`` rows are built at once however long
-    the runs.
+    ``first`` and ``stop`` of shape (rows, runs) give row r several runs,
+    taken in turn; they must be ordered (each ends at or before the next
+    begins) for the new rows to stay in order.  The new rows come in
+    lexicographic order, and a tile may end inside a row's run, so no more
+    than ``tile`` rows are built at once however long the runs.
     """
     width = digits.shape[1] + 1
     if isinstance(stop, int):
@@ -150,18 +152,21 @@ def _extend_rows(digits, first, stop, tile):
                     out[:, :, :-1] = block[:, None, :]
                 yield out.reshape(-1, width)
         return
-    counts = np.maximum(stop - first, 0)
+    counts = np.maximum(stop - first, 0).ravel()
+    # The nonempty runs, each with its row: only they make new rows.
+    runs = np.flatnonzero(counts)
+    row, counts = runs // (len(counts) // len(digits)), counts[runs]
     ends = np.cumsum(counts)
     # A new row's digit is its run's first digit plus its place in the run.
-    shift = first - (ends - counts)
-    total = int(ends[-1])
+    shift = first.ravel()[runs] - (ends - counts)
+    total = int(ends[-1]) if len(runs) else 0
     for lo in range(0, total, tile):
         at = np.arange(lo, min(lo + tile, total))
-        row = np.searchsorted(ends, at, side="right")
+        run = np.searchsorted(ends, at, side="right")
         out = np.empty((len(at), width), dtype=np.int64)
-        out[:, :-1] = digits[row]
-        out[:, -1] = shift[row] + at
-        del at, row  # not held while the caller works on the tile
+        out[:, :-1] = digits[row[run]]
+        out[:, -1] = shift[run] + at
+        del at, run  # not held while the caller works on the tile
         yield out
 
 
@@ -169,9 +174,10 @@ def _prefix_rows(width, tile, runs):
     """Yield the rows of the first ``width`` coordinates, ``tile`` rows at a time.
 
     From the root row (no digits), each coordinate extends a tile of rows
-    with ``_extend_rows`` by the run ``(first, stop) = runs(rows)``, ints
-    when every row takes the same run; an empty run drops a row.  Tiles
-    come in lexicographic order; a width-0 walk yields the root row alone.
+    with ``_extend_rows`` by the runs ``(first, stop) = runs(rows)``: ints
+    when every row takes the same run, one run or several ordered runs per
+    row otherwise; a row whose runs are all empty is dropped.  Tiles come
+    in lexicographic order; a width-0 walk yields the root row alone.
     """
 
     def walk(rows):
@@ -380,32 +386,42 @@ def _digit_run(ext, slope, base, low, high):
     return ends[: len(base)], ends[len(base):]
 
 
+def _flat_run(first, stop, g, eps, k):
+    """Narrow the runs ``[first, stop)`` in place to the digits passing a
+    coordinate whose gradient ``g`` is the same at every digit: digit 0
+    when ``g >= -eps``, digit k when ``g <= eps``, the interior when both
+    hold, so the run [0 or k, k + 1 or 1), empty when g is NaN.  The ends
+    are applied one at a time, so one temporary is held."""
+    np.maximum(first, np.where(g >= -eps, 0, k), out=first)
+    np.minimum(stop, np.where(g <= eps, k + 1, 1), out=stop)
+    return first, stop
+
+
 def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     """All box-lattice points passing the matching KKT verifier at epsilon.
 
     The gradient is affine, ``g = c + p @ S``; for a minmax instance the y
     rows are the negated max-side gradient, which turns the max-side
     conditions into min-side ones: at digit 0 ``g >= -eps``, at digit k
-    ``g <= eps``, inside both.  The scan walks prefix rows (every
-    coordinate but the last) in tiles of at most ``_CHUNK // 8`` rows and
-    never evaluates the gradient at every lattice point.  It builds the
-    rows one coordinate at a time (``_prefix_rows``).  A coordinate i whose
-    gradient holds no later coordinate (``S[j, i] == 0`` for every j >= i)
-    is decided on the rows of the coordinates before it, before its own
-    digits are expanded: its gradient ``base_i = c_i + sum_j p_j * S[j,
-    i]`` is the same at all of its digits, so digit 0, the interior and
-    digit k each pass or fail as a block, and only the passing digits are
-    expanded.  The sum is taken term by term, and the terms it leaves out
-    are exact zeros, so the value is the one the full sum would give.
+    ``g <= eps``, inside both.  The hits are the rows that ``_prefix_rows``
+    yields, ``_CHUNK // 8`` at most per tile; each coordinate's digits are
+    narrowed to runs before they are expanded, so the scan never evaluates
+    the gradient at every lattice point.  A coordinate i whose gradient
+    holds no later coordinate (``S[j, i] == 0`` for every j >= i) is
+    decided on the rows of the coordinates before it: its gradient ``base_i
+    = c_i + sum_j p_j * S[j, i]`` is the same at all of its digits
+    (``_flat_run``).  The sum is taken term by term, and the terms it
+    leaves out are exact zeros, so it is the value the full sum gives.
 
-    On a finished row, every other coordinate i's gradient is ``v *
-    S[last, i] + base_i`` along the last coordinate v, with ``base_i``
-    summed the same way, so a row's value does not depend on the tile.  It
-    is monotone in v, so the last digits passing coordinate i form one run
-    (``_digit_run``).  These coordinates are taken flattest first
-    (smallest ``|S[last, i]|``) and rows whose runs no longer meet are
-    dropped.  The last coordinate's own conditions then split the run into
-    digit 0, an interior run and digit k.
+    The last coordinate is the walk's last step.  On a row of the others,
+    every other coordinate i's gradient is ``v * S[last, i] + base_i``
+    along the last coordinate v, with ``base_i`` summed the same way, so a
+    hit does not depend on the tile.  It is monotone in v, so the last
+    digits passing coordinate i form one run (``_digit_run``).  These runs
+    are intersected flattest first (smallest ``|S[last, i]|``), dropping
+    rows whose runs no longer meet, and the last coordinate's own
+    conditions split what is left into three ordered runs: digit 0, the
+    interior and digit k.
 
     Each run boundary is evaluated with the expression ``v * S[last, i] +
     base_i``, so a hit is exact for that float gradient: ``g >= -eps``
@@ -436,10 +452,9 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
     vals = ext[1:-1]
     np.divide(np.arange(k + 1), k, out=vals)
     # A prefix digit d passes when low[d] <= g <= high[d].
-    low = np.full(k + 1, -eps)
-    high = np.full(k + 1, eps)
+    low, high = np.full(k + 1, -eps), np.full(k + 1, eps)
     low[k], high[0] = -np.inf, np.inf
-    last = dims - 1
+    last, count = dims - 1, _count_dtype(k)
     slopes = S[last]
     # Coordinate i's gradient holds coordinate j when S[j, i] != 0.
     cols = S.T.tolist()
@@ -454,55 +469,43 @@ def grid_kkt_points(instance, grid, epsilon: float, budget=None) -> np.ndarray:
 
     def runs(digits):
         # The digits of coordinate i that may extend rows of the first i.
-        i = digits.shape[1]
-        if not early[i]:
+        i, n = digits.shape[1], len(digits)
+        if i < last and not early[i]:
             return 0, k + 1
-        # The terms of coordinates i and later are zeros, which leave the
-        # sum's bytes as they are.  Digit 0 passes when g >= -eps, digit k
-        # when g <= eps and the interior when both hold: the run [0 or k,
-        # k + 1 or 1).
-        g = base(vals.take(digits), i)
-        return np.where(g >= -eps, 0, k), np.where(g <= eps, k + 1, 1)
-
-    hits = []
-    # On a 4-coordinate lattice a tile's arrays peak at about 100 bytes per
-    # row: 0.43 MB at _CHUNK / 8 rows under tracemalloc, 3.4 MB at _CHUNK
-    # rows, which raised the process's peak RSS; 2^12 to 2^15 rows per
-    # tile ran equally fast.
-    for digits in _prefix_rows(last, max(1, _CHUNK // 8), runs):
         pts = vals.take(digits)
-        first, stop = np.zeros(len(pts), dtype=np.int64), np.full(len(pts), k + 1)
-        for i in order:
-            f, t = _digit_run(ext, slopes[i], base(pts, i), low.take(digits[:, i]), high.take(digits[:, i]))
+        first, stop = np.zeros(n, dtype=count), np.full(n, k + 1, dtype=count)
+        if i < last:
+            # The terms of coordinates i and later are zeros, which leave
+            # the sum's bytes as they are.
+            return _flat_run(first, stop, base(pts, i), eps, k)
+        live = np.ones(n, dtype=bool)
+        for j in order:
+            f, t = _digit_run(ext, slopes[j], base(pts, j), low.take(digits[:, j]), high.take(digits[:, j]))
             np.maximum(first, f, out=first)
             np.minimum(stop, t, out=stop)
             alive = first < stop
+            live[live] = alive
             digits, pts, first, stop = digits[alive], pts[alive], first[alive], stop[alive]
-        n = len(pts)
-        if not n:
-            continue
+        # Per row, three ordered runs of last digits: 0, the interior, k;
+        # a dropped row's are empty.  The gradient is exactly g at digit 0
+        # (v = 0) and slope + g at k.
+        if not len(pts):
+            return np.zeros((2, n, 3), dtype=count)
         g = base(pts, last)
         f, t = _digit_run(ext, slopes[last], g, -eps, eps)
-        # Per row, three ordered runs of last digits: 0, the interior, k.
-        # The gradient is exactly g at digit 0 (v = 0) and slope + g at k.
-        starts, lengths = np.empty((2, n, 3), dtype=np.int64)
-        starts[:, 0], starts[:, 2] = 0, k
-        np.maximum(np.maximum(first, f), 1, out=starts[:, 1])
-        lengths[:, 0] = (first == 0) & (g >= -eps)
-        np.subtract(np.minimum(np.minimum(stop, t), k), starts[:, 1], out=lengths[:, 1])
-        lengths[:, 2] = (stop > k) & (slopes[last] + g <= eps)
-        np.maximum(lengths, 0, out=lengths)
-        total = int(lengths.sum())
-        if total:
-            out = np.empty((total, dims))
-            out[:, :last] = np.repeat(pts, lengths.sum(axis=1), axis=0)
-            flat = lengths.ravel()
-            # A hit's last digit: its run's start plus its place in the run.
-            out[:, last] = vals[np.repeat(starts.ravel() - np.cumsum(flat) + flat, flat) + np.arange(total)]
-            hits.append(out)
-    if not hits:
-        return np.empty((0, dims))
-    return np.vstack(hits)
+        starts, stops = np.zeros((2, n, 3), dtype=count)
+        starts[live, 2] = k
+        starts[live, 1] = np.maximum(np.maximum(first, f), 1)
+        stops[live, 0] = (first == 0) & (g >= -eps)
+        stops[live, 1] = np.minimum(np.minimum(stop, t), k)
+        stops[live, 2] = k + ((stop > k) & (slopes[last] + g <= eps))
+        return starts, stops
+
+    # A dense 4-coordinate QP at grid 34 peaks at 0.68 MB under tracemalloc
+    # with _CHUNK / 8 rows per tile and 5.1 MB with _CHUNK rows, which ran
+    # no faster.
+    hits = [vals.take(rows) for rows in _prefix_rows(dims, max(1, _CHUNK // 8), runs)]
+    return np.vstack(hits) if hits else np.empty((0, dims))
 
 
 def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
@@ -527,7 +530,7 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     - so does x'_i's gradient ``(beta'_i + d x) + t2 y``, at each x and
       case of x';
     - y_i's gradient holds no y, so per (x, x') it passes every y digit,
-      digit 0 alone, digit k alone or none.
+      digit 0 alone, digit k alone or none (``_flat_run``).
 
     ``C[s, x]`` is the sum over x' of the length of the three runs'
     intersection.  The scan first intersects the x'_i and y_i runs per
@@ -588,14 +591,10 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
         # term of the other index's x value.
         s = np.array([beta[i]]) if n == 1 else beta[i] + (gamma[i, 1 - i] + gamma[1 - i, i]) * v
         # y_i is a max variable, so its conditions are those of -gradient,
-        # g_y[x, x'].  It passes digit 0 when g_y >= -eps, digit k when
-        # g_y <= eps and the interior when both hold: the run [0 or k,
-        # k + 1 or 1), empty when g_y is NaN.
+        # g_y[x, x'], which holds no y.  Per (x, x'), the y run passing
+        # x'_i and y_i.
         g_y = -(zeta[i] + t1 * v[:, None] + t2 * v[None, :])
-        # Per (x, x'), the y run passing x'_i and y_i.
-        first, stop = (e.T for e in runs(t2, beta[n + i] + di * v))
-        np.maximum(first, np.where(g_y >= -eps, 0, k), out=first)
-        np.minimum(stop, np.where(g_y <= eps, k + 1, 1), out=stop)
+        first, stop = _flat_run(*(e.T for e in runs(t2, beta[n + i] + di * v)), g_y, eps, k)
         # Only the pairs whose run is nonempty can add to C.  x_i's run
         # depends on a pair only through x' and the case of x (its key).
         x, xp = np.nonzero(first < stop)

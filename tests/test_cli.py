@@ -431,6 +431,9 @@ KKT_INSTANCES = {
     ("min-kkt", {"x": ["0.5"]}),
     ("min-kkt", {"x": [True]}),
     ("minmax-kkt", {"x": [0.5], "y": ["1"]}),
+    # Outside the box: clamping would verify another point.
+    ("min-kkt", {"x": [1.7]}),
+    ("minmax-kkt", {"x": [0.5], "y": [-0.25]}),
 ])
 def test_malformed_point_file_is_usage_error(tmp_path, capsys, kind, payload):
     inst = tmp_path / "inst.json"

@@ -136,23 +136,41 @@ def walker_bounds(sizes, row):
     return first, min(size, first + total % 3)
 
 
-@pytest.mark.parametrize("early", [False, True])
+def walker_several_runs(sizes, row):
+    """The several-runs rule of test_prefix_rows_is_the_filtered_product:
+    coordinate len(row) takes three ordered runs at coordinate 1 and two
+    after it, cut from its digits at even shares; each run may lose its
+    first digit or its last, so some are empty and some end before they
+    begin."""
+    total, size = sum(row), sizes[len(row)]
+    r = 3 if len(row) == 1 else 2
+    cuts = [size * j // r for j in range(r + 1)]
+    return [(cuts[j] + (total + j) % 2, cuts[j + 1] - (total % 3 == j)) for j in range(r)]
+
+
+@pytest.mark.parametrize("early", [False, True, "several"])
 @pytest.mark.parametrize("tile", [1, 2, 5, 7, 100])
 @pytest.mark.parametrize("sizes", [[], [3], [2, 3], [4, 1, 3], [3, 5, 2, 4], [6, 4, 5]])
 def test_prefix_rows_is_the_filtered_product(sizes, tile, early):
-    # Full runs (ints) on even coordinates; with ``early``, odd coordinates
+    # Full runs (ints) on even coordinates.  With ``early``, odd coordinates
     # take a per-row run that may be empty, so rows are dropped mid-walk and
-    # tiles end inside parents' runs at every level.
+    # tiles end inside parents' runs at every level; with "several", they
+    # take several ordered runs per row instead.
+    def row_runs(row):
+        return walker_several_runs(sizes, row) if early == "several" else [walker_bounds(sizes, row)]
+
     def runs(rows):
         i = rows.shape[1]
         if not early or i % 2 == 0:
             return 0, sizes[i]
-        first, stop = zip(*(walker_bounds(sizes, row) for row in rows.tolist()))
-        return np.array(first), np.array(stop)
+        ends = np.array([row_runs(row) for row in rows.tolist()])  # (rows, runs, 2)
+        if early is True:
+            ends = ends[:, 0]  # one run per row, as 1-D first and stop
+        return ends[..., 0], ends[..., 1]
 
     def passes(row):
-        return not early or all(first <= row[i] < stop for i in range(1, len(row), 2)
-                                for first, stop in [walker_bounds(sizes, row[:i])])
+        return not early or all(any(first <= row[i] < stop for first, stop in row_runs(row[:i]))
+                                for i in range(1, len(row), 2))
 
     want = [row for row in itertools.product(*map(range, sizes)) if passes(row)]
     tiles = list(oracle._prefix_rows(len(sizes), tile, runs))

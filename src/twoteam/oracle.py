@@ -7,29 +7,29 @@ algorithmic path with the solvers they are used to check.  Budget guards
 are hard errors, checked on ``simplex_grid_size`` products before any grid
 is built: a truncated oracle is worse than none.
 
-The regret, minimax and KKT-lattice scans take their rows from one
-walker, ``_prefix_rows``, which builds them one coordinate at a time, in
-tiles, in lexicographic order.  The regret and minimax scans walk the
-prefix rows (every axis but the last), take every digit and treat the
-last axis as a block, so per-prefix terms are computed once per prefix
-row.  They write every action's value on a tile as a row per prefix times
-a column per block, and ``_max_product`` takes one matrix product per
-player (or adversary) and a running maximum over actions; no outer sum is
-built.  The products round differently from sums taken term by term, by
-about 1e-16, so these scans agree with the definitional verifiers to 1e-12
-rather than bit for bit.  The KKT-lattice scan walks every axis and
-narrows each to runs before its digits are expanded, so the rows it walks
-are its hits.  A coordinate whose gradient holds no later coordinate
-passes one run (digit 0, the interior and digit k pass or fail as
-blocks).  Along the last axis each other gradient coordinate is
-monotone, so its passing last digits form one run, whose ends the scan
-finds from an arithmetic guess and a walk that compares the gradient
-itself.  Its per-row terms are summed term by term, so its hits do not
-depend on the tile.  The stage-1 scan counts KKT cells per index with the
-same runs: along y_i each variable's conditions pass one run of digits,
-x_i's runs are found only for the (x_i, x'_i) pairs whose x'_i and y_i
-run is nonempty, and a cell count is the length of the runs'
-intersection, in integers.  No scan calls the point-wise verifiers.
+Every scan takes its rows from one walker, ``_prefix_rows``, which builds
+them one coordinate at a time, in tiles, in lexicographic order.  The
+regret and minimax scans walk the prefix rows (every axis but the last),
+take every digit and treat the last axis as a block, so per-prefix terms
+are computed once per prefix row.  They write every action's value on a
+tile as a row per prefix times a column per block, and ``_max_product``
+takes one matrix product per player (or adversary) and a running maximum
+over actions; no outer sum is built.  The products round differently from
+sums taken term by term, by about 1e-16, so these scans agree with the
+definitional verifiers to 1e-12 rather than bit for bit.  The KKT-lattice
+scan walks every axis and narrows each to runs before its digits are
+expanded, so the rows it walks are its hits.  A coordinate whose gradient
+holds no later coordinate passes one run (digit 0, the interior and digit
+k pass or fail as blocks).  Along the last axis each other gradient
+coordinate is monotone, so its passing last digits form one run, whose
+ends the scan finds from an arithmetic guess and a walk that compares the
+gradient itself.  Its per-row terms are summed term by term, so its hits
+do not depend on the tile.  The stage-1 scan walks the x block and counts
+KKT cells per index with the same runs: along y_i each variable's
+conditions pass one run of digits, a row takes only the (x_i, x'_i) pairs
+whose x'_i and y_i run is nonempty, and its count is the product of the
+runs' intersection lengths, in integers.  No scan calls the point-wise
+verifiers.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from .lp_solver import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 
 DEFAULT_BUDGET = 10_000_000
 # Points per regret or minimax tile: _CHUNK // B prefix rows against a
-# block of B <= _CHUNK last digits (the KKT-lattice scan walks _CHUNK / 8
-# rows per tile).  On a 2-vCPU host, in 10 alternating runs of the
+# block of B <= _CHUNK last digits (the KKT scans walk _CHUNK / 8 rows
+# per tile).  On a 2-vCPU host, in 10 alternating runs of the
 # benchmark's oracle-scan mix, 2^15 beat 2^16 on the median latency (-11%,
 # 10/10) and on peak RSS (-10%) with the tail latency flat; tiles of 2^20
 # ran the mix about 25% slower than 2^16.
@@ -348,9 +348,14 @@ def _digits_below(ext, slope, base, bound) -> np.ndarray:
         # either end compares false, so no count leaves 0..k + 1.
         return (ext[at + 1] * slope + b < B).view(np.int8) - (ext[at] * slope + b >= B).view(np.int8)
 
+    # In place, so that the walk holds no float temporary of its own.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        guess = np.ceil((bound - base) / slope * k)
-    count = np.fmin(np.fmax(guess, 0), k + 1).astype(_count_dtype(k))
+        guess = np.subtract(bound, base)
+        guess /= slope
+        guess *= k
+        np.ceil(guess, out=guess)
+    count = np.fmin(np.fmax(guess, 0, out=guess), k + 1, out=guess).astype(_count_dtype(k))
+    del guess
     moved = step(count, base, bound)
     count += moved
     rows = np.flatnonzero(moved)
@@ -518,11 +523,13 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     that pattern the KKT conditions factor per index i, so the full
     (3n)-dimensional lattice is covered without materializing it.
 
-    Index i's table ``C[s, x]`` counts the (x'_i, y_i) lattice cells that
-    complete x_i = x to a KKT cell of the index, where s is the other
-    index's x value (one row when n = 1).  Each variable's condition
-    depends only on whether its digit is 0, k or interior (its case), and
-    along y_i every condition passes one run of digits:
+    The scan walks the x block (``_prefix_rows``, ``_CHUNK // 8`` rows a
+    tile).  On a row, index i's KKT cells are the (x'_i, y_i) cells that
+    complete x_i to a KKT cell of the index, and they depend only on x_i
+    and ``s = beta_i + sum_{j != i} (gamma_ij + gamma_ji) x_j`` (summed in
+    index order).  Each variable's condition depends only on whether its
+    digit is 0, k or interior (its case), and along y_i every condition
+    passes one run of digits:
 
     - x_i's gradient ``(s + d x') + t1 y`` is affine in y, so at each
       (s, x') and case of x its passing y digits form one run
@@ -532,17 +539,14 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     - y_i's gradient holds no y, so per (x, x') it passes every y digit,
       digit 0 alone, digit k alone or none (``_flat_run``).
 
-    ``C[s, x]`` is the sum over x' of the length of the three runs'
-    intersection.  The scan first intersects the x'_i and y_i runs per
-    pair (x, x'); a pair whose run is empty adds exactly 0 to ``C[s, x]``,
-    so x_i's runs are found only for the other pairs, once per distinct
-    (x', case of x), and each tile sums its run lengths per x in integers
-    with one ``np.add.reduceat``.  Rows of s are taken in tiles of at most
-    ``_CHUNK`` (s, pair) cells and ``_CHUNK / 32`` x_i runs, or one row.
-    Each run boundary is evaluated with the point-wise KKT cases' gradient
-    expression, so the counts are exact for those float gradients.  The
-    KKT cells of the whole lattice over an x block number ``C0[0]`` when
-    n = 1 and ``C0.T * C1`` when n = 2.
+    The x'_i and y_i runs are intersected once per pair (x, x'); a pair
+    whose run is empty holds no KKT cell.  Each row is extended by its
+    x_i's pairs (``_extend_rows``), and its count for index i sums, in
+    integers, the lengths of the pair runs' intersections with x_i's run.
+    A row's KKT cells number the product of its n counts (a row whose
+    product is already 0 takes no pairs), and it projects when that is
+    nonzero.  Run boundaries are evaluated with the point-wise KKT cases'
+    gradient expressions, so the counts are exact for those gradients.
 
     Returns (projected, total): distinct x-block grid points admitting at
     least one full KKT extension (lexicographic order), and the total count
@@ -551,8 +555,6 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     n = m_inst.n_y
     if n < 1 or m_inst.n_x != 2 * n:
         raise ValueError("instance does not have the doubled-variable shape")
-    if n > 2:
-        raise ValueError("factorized scan supports n <= 2")
     gamma, theta, beta, zeta = m_inst.gamma, m_inst.theta, m_inst.beta, m_inst.zeta
     for r in range(2 * n):
         for c in range(n):
@@ -567,6 +569,8 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
 
     k = _grid_k(grid)
     eps = _check_epsilon(epsilon)
+    # An index's pair arrays take (k + 1)^2 cells and the x block (k + 1)^n rows.
+    _check_budget((k + 1) ** max(n, 2), None)
     ext = np.full(k + 3, np.nan)
     v = ext[1:-1]
     np.divide(np.arange(k + 1), k, out=v)
@@ -584,50 +588,44 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
         ends = _digit_run(ext, slope, np.tile(base.ravel(), 3), low.repeat(size), high.repeat(size))
         return [e.reshape((3,) + base.shape)[case] for e in ends]
 
-    tables = []
+    pairs = []
     for i in range(n):
         t1, t2, di = theta[i, i], theta[n + i, i], gamma[i, n + i]
-        # x_i's gradient starts at s: beta_i plus, when n = 2, the coupling
-        # term of the other index's x value.
-        s = np.array([beta[i]]) if n == 1 else beta[i] + (gamma[i, 1 - i] + gamma[1 - i, i]) * v
         # y_i is a max variable, so its conditions are those of -gradient,
         # g_y[x, x'], which holds no y.  Per (x, x'), the y run passing
         # x'_i and y_i.
         g_y = -(zeta[i] + t1 * v[:, None] + t2 * v[None, :])
         first, stop = _flat_run(*(e.T for e in runs(t2, beta[n + i] + di * v)), g_y, eps, k)
-        # Only the pairs whose run is nonempty can add to C.  x_i's run
-        # depends on a pair only through x' and the case of x (its key).
+        # Only the pairs whose run is nonempty can hold a KKT cell.
+        # np.nonzero lists them x-major, so x's pairs are starts[x]:starts[x + 1].
         x, xp = np.nonzero(first < stop)
-        first, stop = first[x, xp], stop[x, xp]
-        key = case[x] * (k + 1) + xp
-        used = np.zeros(3 * (k + 1), dtype=bool)
-        used[key] = True
-        keys = np.flatnonzero(used)
-        col = np.cumsum(used)[key] - 1  # a pair's key among the used ones
-        dx, key_low, key_high = di * v[keys % (k + 1)], low[keys // (k + 1)], high[keys // (k + 1)]
-        # np.nonzero lists the pairs x-major: each x's pairs are one group.
-        groups = np.flatnonzero(np.diff(x, prepend=-1))
-        xs = x[groups]
-        # At most _CHUNK (s, pair) cells and _CHUNK / 32 (s, key) runs a
-        # tile: a run's walk takes about 100 bytes of float temporaries, and
-        # the benchmark's n = 2 scans peak at 0.22 MB under tracemalloc
-        # (0.55 MB at _CHUNK / 8 runs a tile).
-        rows = max(1, min(_CHUNK // max(len(x), 1), _CHUNK // 32 // max(len(keys), 1)))
-        C = np.zeros((len(s), k + 1), dtype=np.int64)
-        for lo in range(0, len(s), rows):
-            base = s[lo:lo + rows, None] + dx
-            r = len(base)
-            f, t = _digit_run(ext, t1, base.ravel(), np.tile(key_low, r), np.tile(key_high, r))
-            # Per (s, pair), the part of the pair's run that passes x_i too.
-            f, t = f.reshape(r, -1)[:, col], t.reshape(r, -1)[:, col]
-            length = np.minimum(t, stop) - np.maximum(f, first)
-            np.maximum(length, 0, out=length)
-            C[lo:lo + r, xs] = np.add.reduceat(length, groups, axis=1, dtype=np.int64)
-        tables.append(C)
-    table = tables[0][0] if n == 1 else tables[0].T * tables[1]
-    hits = np.nonzero(table)
-    projected = np.column_stack([v[h] for h in hits])
-    return projected, int(table[hits].sum())
+        pairs.append((t1, np.searchsorted(x, np.arange(k + 2)), di * v[xp], first[x, xp], stop[x, xp]))
+
+    tile = max(1, _CHUNK // 8)
+    projected, total = [], 0
+    for rows in _prefix_rows(n, tile, lambda p: (0, k + 1)):
+        count = np.ones(len(rows), dtype=np.int64)
+        for i, (t1, starts, dx, first, stop) in enumerate(pairs):
+            s = np.full(len(rows), beta[i])
+            for j in range(n):
+                if j != i:
+                    s += (gamma[i, j] + gamma[j, i]) * v[rows[:, j]]
+            xi, cells = rows[:, i], np.zeros(len(rows))
+            # A row whose product is already 0 takes no pairs.
+            stops = np.where(count > 0, starts[xi + 1], starts[xi])
+            for ext_rows in _extend_rows(np.arange(len(rows))[:, None], starts[xi], stops, tile):
+                r, p = ext_rows.T
+                c = case[xi[r]]
+                # Per (row, pair), the part of the pair's run that passes x_i too.
+                f, t = _digit_run(ext, t1, s[r] + dx[p], low[c], high[c])
+                length = np.minimum(t, stop[p]) - np.maximum(f, first[p])
+                np.maximum(length, 0, out=length)
+                # The counts are far below 2^53, so float weights sum exactly.
+                cells += np.bincount(r, weights=length, minlength=len(rows))
+            count *= cells.astype(np.int64)
+        projected.append(v.take(rows[count > 0]))
+        total += int(count.sum())
+    return np.vstack(projected), total
 
 
 # ---------------------------------------------------------------------------

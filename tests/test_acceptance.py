@@ -149,6 +149,13 @@ def test_criterion_4_stage1_kkt_projection_desk_scale():
         total_found += count
         for row in projected:
             assert verify_min_kkt(q, BoxPoint(row), q.epsilon).passed, row
+    # One n = 3 draw (201^3 rows of the x block), from a generator of its
+    # own so that the draws above stay as they are.
+    q3 = random_quadratic(3, 1.0 / 13.0, np.random.default_rng(3000))
+    m3, _ = reduce_stage1(q3)
+    projected, count3 = stage1_kkt_grid_scan(m3, 200, m3.epsilon)
+    for row in projected:
+        assert verify_min_kkt(q3, BoxPoint(row), q3.epsilon).passed, row
     # Non-vacuity companion: the gadget-only instance has on-grid KKT
     # points, and they all project correctly too.
     qz = QuadraticInstance(n=1, constant=0, linear=[0], cross=[[0]], square=[0],
@@ -161,8 +168,8 @@ def test_criterion_4_stage1_kkt_projection_desk_scale():
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     report(4, "every grid KKT point of the transformed instance projects",
-           f"(10 draws + gadget-only; {total_found} random-draw grid points, "
-           f"{count} gadget-only points, 0 counterexamples, {elapsed:.1f}s)")
+           f"(10 draws + one n = 3 draw + gadget-only; {total_found} random-draw grid points, "
+           f"{count3} at n = 3, {count} gadget-only points, 0 counterexamples, {elapsed:.1f}s)")
 
 
 def test_criterion_5_stage2_nash_pullback_desk_scale():

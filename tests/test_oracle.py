@@ -125,6 +125,14 @@ def test_budget_guards_run_before_any_grid_is_built(monkeypatch):
     with pytest.raises(GridBudgetError) as err:
         grid_minimax_value(g, s, 10**6, budget=10)
     assert err.value.required == simplex_grid_size(3, 10**6) * simplex_grid_size(2, 10**6)
+    # The stage-1 scan takes the default budget, and an index's (x_i, x'_i)
+    # pairs need (k + 1)^2 cells even when n = 1.
+    monkeypatch.setattr(oracle, "DEFAULT_BUDGET", 100)
+    m, _ = reduce_stage1(QuadraticInstance(n=1, constant=0, linear=[0], cross=[[0]], square=[1],
+                                           epsilon=1.0 / 13.0))
+    with pytest.raises(GridBudgetError) as err:
+        stage1_kkt_grid_scan(m, 20, m.epsilon)
+    assert err.value.required == 21**2
 
 
 def walker_bounds(sizes, row):
@@ -630,6 +638,11 @@ def test_stage1_scan_agrees_with_direct_enumeration():
     for n, k in [(1, 40), (2, 10), (2, 12)]:
         m, params = reduced_random_qp(rng, n)
         assert assert_stage1_matches_direct(m, k, 0.75 * params.T / k) > 0
+    # n = 3 against the full 9-dimensional lattice (5^9 points at grid 4).
+    for k in (2, 3, 4):
+        m, params = reduced_random_qp(rng, 3)
+        assert_stage1_matches_direct(m, k, m.epsilon)
+        assert assert_stage1_matches_direct(m, k, 0.75 * params.T / k) > 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -652,7 +665,7 @@ def test_stage1_scan_matches_definitional_verifier():
     # verify_minmax_kkt instead.
     rng = np.random.default_rng(16)
     with_cells = 0
-    for n, grids in [(1, (7, 20)), (2, (2, 4))]:
+    for n, grids in [(1, (7, 20)), (2, (2, 4)), (3, (2,))]:
         for k in grids:
             m, params = reduced_random_qp(rng, n)
             for eps in (m.epsilon, 0.75 * params.T / k):
@@ -660,7 +673,7 @@ def test_stage1_scan_matches_definitional_verifier():
                 want = np.unique(direct[:, :n], axis=0), len(direct)
                 with_cells += assert_stage1_matches_direct(m, k, eps, want) > 0
     # At 0.75 T/k every lattice holds KKT cells.
-    assert with_cells >= 4
+    assert with_cells >= 5
 
 
 def _stage1_boundary_instance(n, beta, gamma, zeta, theta):
@@ -759,24 +772,24 @@ def test_stage1_scan_with_every_pair_dense(n, k, monkeypatch):
     direct = definitional_kkt_points(m, k, eps)
     assert 0 < len(direct) < len(digits)
     want = np.unique(direct[:, :n], axis=0), len(direct)
-    # Every (x'_i, case of x_i) key is used, so at n = 2 a tile holds
-    # _CHUNK / 32 // 12 rows of s: all four, one, and two.
+    # Every pair survives the x'_i and y_i filter, so a row takes all k + 1
+    # pairs of its x_i.  The x block and the (row, pair) extensions take
+    # tiles of _CHUNK // 8 rows, at least one: here 4096, one and 100.
     for chunk in (oracle._CHUNK, 5, 800):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert_stage1_matches_direct(m, k, eps, want)
 
 
-@pytest.mark.parametrize("n, k", [(1, 200), (1, 40), (1, 12), (2, 60), (2, 12), (2, 4)])
+@pytest.mark.parametrize("n, k", [(1, 200), (1, 40), (1, 12), (2, 60), (2, 12), (2, 4), (3, 8)])
 def test_stage1_scan_is_tile_independent(n, k, monkeypatch):
     m, params = reduced_random_qp(np.random.default_rng(k), n)
     eps = 0.75 * params.T / k
     projected, total = stage1_kkt_grid_scan(m, k, eps)
     assert total > 0
-    # A tile holds _CHUNK // (k + 1)^2 rows of s, at least one.  The
-    # default chunk takes them 8 at a time at (2, 60) and all at once at
-    # (2, 12) and (2, 4), a chunk of 50 two at a time at (2, 4) (tiles of
-    # 2, 2 and 1 rows); otherwise the chunks of 5 and 50 put every row in a
-    # tile of its own.  When n = 1, s has a single row.
+    # The x block and each index's (row, pair) extensions take tiles of
+    # _CHUNK // 8 rows, at least one: the default chunk takes each case's
+    # x block in one tile, chunks of 5 one row at a time and chunks of 50
+    # six at a time, so a tile may end inside a row's pairs.
     for chunk in (5, 50):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         got_projected, got_total = stage1_kkt_grid_scan(m, k, eps)

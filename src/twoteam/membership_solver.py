@@ -31,7 +31,7 @@ from .game_core import (
     validate_two_team,
     verify_epsilon_nash,
 )
-from .lp_solver import OPTIMAL, LinearProgram, find_feasible, solve_lp
+from .lp_solver import OPTIMAL, LinearProgram, solve_lp
 
 # find_kkt_point's result is ``converged`` when its certificate violation
 # is at most CERTIFICATE_TOL.
@@ -58,8 +58,8 @@ class NonConvergenceError(SolverError):
 
 
 class MultiplierExtractionError(SolverError):
-    """The multiplier system is infeasible: the point is not close enough
-    to a KKT point at the requested band."""
+    """No admissible multipliers reach a stationarity residual within the
+    requested band: the point is not close enough to a KKT point."""
 
 
 @dataclass
@@ -178,69 +178,55 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
-def _multiplier_system(prog: DualMinProgram, x: list):
-    """The linear system the multipliers (mu, lambda, nu) must satisfy at x.
+def stationarity_residual(prog: DualMinProgram, x: list):
+    """Def 4.2-style residual against the current active set, via a small LP.
 
-    mu is supported on the adversary constraints within
-    ``ACTIVITY_THRESHOLD`` of tight, nu on the coordinates within it of
-    zero, and lambda is free.  Returns (stat, b, eq, bounds, unpack): row
-    r of ``stat`` times the multipliers plus b[r] is the stationarity of
-    coordinate r of s = concat(x); each row of ``eq`` sums one
-    adversary's mu (to 1), ``bounds`` are the variables' LP bounds, and
-    ``unpack`` maps a solution vector to (mu, lam, nu).
+    The multipliers (mu, lambda, nu) are admissible at x when mu is
+    supported on the adversary constraints within ``ACTIVITY_THRESHOLD``
+    of tight and sums to 1 per adversary, nu is supported on the
+    coordinates within it of zero, and lambda is free.  The LP minimizes
+    the sup-norm t of the stationarity vector over them.  Returns
+    (residual, (mu, lam, nu)) or (inf, None) when the LP solver stalls.
     """
     s = np.concatenate(x)
     nx, ny = len(prog.xs), len(prog.ys)
     mu_slots = [(j, int(k)) for j, c in enumerate(prog.adversary_payoffs(x))
                 for k in np.flatnonzero(c.max() - c <= ACTIVITY_THRESHOLD)]
     nu_rows = np.flatnonzero(s <= ACTIVITY_THRESHOLD)
-    n_mu = len(mu_slots)
-    nvars = n_mu + nx + len(nu_rows)
-
-    stat = np.zeros((len(s), nvars))
-    stat[:, :n_mu] = np.array([prog.cross[j][k] for j, k in mu_slots]).reshape(n_mu, len(s)).T
-    stat[np.arange(len(s)), n_mu + np.repeat(np.arange(nx), np.diff(prog.offsets))] = 1.0
-    stat[nu_rows, n_mu + nx + np.arange(len(nu_rows))] = -1.0
-    eq = np.zeros((ny, nvars))
-    eq[[j for j, _ in mu_slots], np.arange(n_mu)] = 1.0
-    bounds = [(0.0, None)] * n_mu + [(None, None)] * nx + [(0.0, None)] * len(nu_rows)
-
-    def unpack(z: np.ndarray):
-        mu = [np.zeros(len(rows)) for rows in prog.cross]
-        for col, (j, k) in enumerate(mu_slots):
-            mu[j][k] = max(z[col], 0.0)
-        nu = np.zeros(len(s))
-        nu[nu_rows] = np.maximum(z[n_mu + nx :], 0.0)
-        return mu, np.array(z[n_mu : n_mu + nx]), np.split(nu, prog.offsets[1:-1])
-
-    return stat, prog.linear_part(x), eq, bounds, unpack
-
-
-def stationarity_residual(prog: DualMinProgram, x: list):
-    """Def 4.2-style residual against the current active set, via a small LP.
-
-    Minimizes the sup-norm t of the stationarity vector over admissible
-    multipliers (``_multiplier_system``'s supports, lambda free).  Returns
-    (residual, (mu, lam, nu)) or (inf, None) when the LP solver stalls.
-    """
-    stat, b, eq, bounds, unpack = _multiplier_system(prog, x)
-    # b + stat.z in [-t, t], over the variables (t, z).
-    t_col = -np.ones((2 * len(b), 1))
-    rows = np.hstack([t_col, np.stack([stat, -stat], axis=1).reshape(-1, stat.shape[1])])
-    obj = np.zeros(rows.shape[1])
+    # Over the variables z = (t, mu, lambda, nu), b + stat.z is the
+    # stationarity of s = concat(x); stat's t column is 0.
+    lam0 = 1 + len(mu_slots)
+    nu0 = lam0 + nx
+    stat = np.zeros((len(s), nu0 + len(nu_rows)))
+    stat[:, 1:lam0] = np.array([prog.cross[j][k] for j, k in mu_slots]).reshape(-1, len(s)).T
+    stat[np.arange(len(s)), lam0 + np.repeat(np.arange(nx), np.diff(prog.offsets))] = 1.0
+    stat[nu_rows, nu0 + np.arange(len(nu_rows))] = -1.0
+    b = prog.linear_part(x)
+    # Minimize t subject to b + stat.z in [-t, t].
+    ineq = np.stack([stat, -stat], axis=1).reshape(-1, stat.shape[1])
+    ineq[:, 0] = -1.0
+    eq = np.zeros((ny, stat.shape[1]))
+    eq[[j for j, _ in mu_slots], np.arange(1, lam0)] = 1.0
+    obj = np.zeros(stat.shape[1])
     obj[0] = -1.0
     lp = LinearProgram(
         objective=obj,
-        ineq_matrix=rows,
+        ineq_matrix=ineq,
         ineq_rhs=np.stack([-b, b], axis=1).reshape(-1),
-        eq_matrix=np.hstack([np.zeros((len(eq), 1)), eq]),
-        eq_rhs=np.ones(len(eq)),
-        bounds=[(0.0, None)] + bounds,
+        eq_matrix=eq,
+        eq_rhs=np.ones(ny),
+        bounds=[(0.0, None)] * lam0 + [(None, None)] * nx + [(0.0, None)] * len(nu_rows),
     )
     out = solve_lp(lp)
     if out.status != OPTIMAL:
         return np.inf, None
-    return max(float(out.solution[0]), 0.0), unpack(out.solution[1:])
+    z = out.solution
+    mu = [np.zeros(len(rows)) for rows in prog.cross]
+    for col, (j, k) in enumerate(mu_slots, start=1):
+        mu[j][k] = max(z[col], 0.0)
+    nu = np.zeros(len(s))
+    nu[nu_rows] = np.maximum(z[nu0:], 0.0)
+    return max(float(z[0]), 0.0), (mu, np.array(z[lam0:nu0]), np.split(nu, prog.offsets[1:-1]))
 
 
 def _payoff_matrix(game: PolymatrixGame):
@@ -474,35 +460,28 @@ def extract_multipliers(
     x: list,
     band: float = 1e-7,
 ) -> MultiplierCertificate:
-    """Find (mu, lambda, nu) for a near-KKT point by LP feasibility.
+    """(mu, lambda, nu) for a near-KKT point, from ``stationarity_residual``.
 
-    Stationarity is relaxed to a band around zero; complementarity is
-    enforced structurally by restricting the multiplier supports to the
-    active sets.  Raises MultiplierExtractionError when the system is
-    infeasible, signalling that x is not close enough to a KKT point.
-    It reads the payoffs the Lemke search reads but shares none of its
-    pivoting, so it cross-checks the certificate ``find_kkt_point`` reads
-    off its basis.
+    Complementarity holds structurally, since the multiplier supports are
+    the active sets, and stationarity holds to the least residual the
+    admissible multipliers reach.  Raises MultiplierExtractionError
+    unless that residual is at most ``band`` (an LP stall reads as an
+    infinite residual), signalling that x is not close enough to a KKT
+    point.  Each adversary's mu is scaled to sum to 1.  It reads the
+    payoffs the Lemke search reads but shares none of its pivoting, so
+    it cross-checks the certificate ``find_kkt_point`` reads off its
+    basis.
     """
-    stat, b, eq, bounds, unpack = _multiplier_system(prog, x)
-    lp = LinearProgram(
-        objective=np.zeros(stat.shape[1]),
-        ineq_matrix=np.stack([stat, -stat], axis=1).reshape(-1, stat.shape[1]),
-        ineq_rhs=np.stack([band - b, band + b], axis=1).reshape(-1),
-        eq_matrix=eq,
-        eq_rhs=np.ones(len(eq)),
-        bounds=bounds,
-    )
-    out = find_feasible(lp)
-    if out.status != OPTIMAL:
+    residual, multipliers = stationarity_residual(prog, x)
+    if not residual <= band:
         raise MultiplierExtractionError(
-            f"multiplier system infeasible at band {band}: "
+            f"least stationarity residual {residual} exceeds band {band}: "
             "point is not close enough to a KKT point"
         )
-    mu, lam, nu = unpack(out.solution)
-    for j in range(len(prog.ys)):
-        if mu[j].sum() > 0:
-            mu[j] /= mu[j].sum()
+    mu, lam, nu = multipliers
+    for m in mu:
+        if m.sum() > 0:
+            m /= m.sum()
     return MultiplierCertificate(mu=mu, lam=lam, nu=nu)
 
 

@@ -140,7 +140,11 @@ def _extend_rows(digits, first, stop, tile):
     """
     width = digits.shape[1] + 1
     if isinstance(stop, int):
-        # A block of rows against a block of the run, by broadcasting.
+        # A block of rows against a block of the run, by broadcasting.  The
+        # per-row path below gives the same rows, but slower: routed through
+        # it, the oracle-scan requests regrets-m3-g8, kkt-lattice-g34,
+        # kkt-lattice-g100 and stage1-kkt-g60 ran 7-23% slower in-process
+        # (2-vCPU host, one BLAS thread, alternating rounds at seed 2409).
         per = max(1, tile // (stop - first))
         for r in range(0, len(digits), per):
             block = digits[r:r + per]
@@ -545,8 +549,10 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
     integers, the lengths of the pair runs' intersections with x_i's run.
     A row's KKT cells number the product of its n counts (a row whose
     product is already 0 takes no pairs), and it projects when that is
-    nonzero.  Run boundaries are evaluated with the point-wise KKT cases'
-    gradient expressions, so the counts are exact for those gradients.
+    nonzero; an index without pairs makes every product 0, so the scan
+    then returns before the walk.  Run boundaries are evaluated with the
+    point-wise KKT cases' gradient expressions, so the counts are exact
+    for those gradients.
 
     Returns (projected, total): distinct x-block grid points admitting at
     least one full KKT extension (lexicographic order), and the total count
@@ -599,6 +605,9 @@ def stage1_kkt_grid_scan(m_inst: MinmaxIndInstance, grid, epsilon: float):
         # Only the pairs whose run is nonempty can hold a KKT cell.
         # np.nonzero lists them x-major, so x's pairs are starts[x]:starts[x + 1].
         x, xp = np.nonzero(first < stop)
+        if not len(x):
+            # No row completes index i, so no row has a KKT cell.
+            return np.empty((0, n)), 0
         pairs.append((t1, np.searchsorted(x, np.arange(k + 2)), di * v[xp], first[x, xp], stop[x, xp]))
 
     tile = max(1, _CHUNK // 8)

@@ -175,6 +175,25 @@ def test_extract_multipliers_no_edges_returns_vertex():
     assert cert.mu[0].max() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_extract_multipliers_band_edge_is_the_least_residual():
+    # extract_multipliers accepts a band exactly when it is at least the
+    # least stationarity residual r, at solver points and away from them.
+    rng, points = np.random.default_rng(402), np.random.default_rng(4020)
+    positive = 0
+    for trial in range(30):
+        g, s = degenerate_independent_game(rng) if trial % 2 else random_two_team(2, 2, 2, True, rng)
+        prog = build_dual_program(g, s)
+        interior = [points.dirichlet(np.ones(c)) for c in np.diff(prog.offsets)]
+        for x in (find_kkt_point(prog, seed=trial).x, interior):
+            r, _ = stationarity_residual(prog, x)
+            assert np.isfinite(r), trial
+            positive += r > 0
+            extract_multipliers(prog, x, band=r)
+            with pytest.raises(MultiplierExtractionError):
+                extract_multipliers(prog, x, band=np.nextafter(r, -1))
+    assert positive >= 10
+
+
 def _assert_passes_general_kkt_verifier(prog, res, cert):
     # Assemble the dual program as min f(z) s.t. Az <= b over z = (x, gamma),
     # X player a's coordinates from offset o[a] on, and check Def-style
@@ -455,7 +474,6 @@ def test_solve_runs_no_lp(monkeypatch):
 
     monkeypatch.setattr(lp_solver, "solve_lp", no_lp)
     monkeypatch.setattr(membership_solver, "solve_lp", no_lp)
-    monkeypatch.setattr(membership_solver, "find_feasible", no_lp)
     g, s = matching_pennies()
     assert solve(g, s, epsilon=1e-9)[1].passed
     rng = np.random.default_rng(401)

@@ -21,6 +21,7 @@ from twoteam.instances import (
     eval_quadratic,
     grad_minmax,
     grad_quadratic,
+    random_quadratic,
     verify_min_kkt,
     verify_minmax_kkt,
 )
@@ -643,6 +644,25 @@ def test_stage1_scan_agrees_with_direct_enumeration():
         m, params = reduced_random_qp(rng, 3)
         assert_stage1_matches_direct(m, k, m.epsilon)
         assert assert_stage1_matches_direct(m, k, 0.75 * params.T / k) > 0
+
+
+def test_stage1_scan_skips_the_walk_when_an_index_has_no_pair(monkeypatch):
+    # Index 0 keeps one (x_0, x'_0) pair here and index 1 none, so no row
+    # holds a KKT cell and the scan must not walk the x block.
+    m, params = reduced_random_qp(np.random.default_rng(8), 2)
+    small = (m, 4, 0.01 * params.T / 4)
+    want = stage1_direct(*small)
+    assert want[1] == 0
+
+    def no_walk(*args):
+        raise AssertionError("the scan walked the x block")
+
+    monkeypatch.setattr(oracle, "_extend_rows", no_walk)
+    assert_stage1_matches_direct(*small, want)
+    # Criterion 4's n = 3 draw at grid 200 and the stage's epsilon.
+    m3, params3 = reduce_stage1(random_quadratic(3, 1.0 / 13.0, np.random.default_rng(3000)))
+    projected, total = stage1_kkt_grid_scan(m3, 200, params3.delta_out)
+    assert total == 0 and projected.shape == (0, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2])

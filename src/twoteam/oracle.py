@@ -14,9 +14,12 @@ take every digit and treat the last axis as a block, so per-prefix terms
 are computed once per prefix row.  They write every action's value on a
 tile as a row per prefix times a column per block, and ``_max_product``
 takes one matrix product per player (or adversary) and a running maximum
-over actions; no outer sum is built.  The products round differently from
-sums taken term by term, by about 1e-16, so these scans agree with the
-definitional verifiers to 1e-12 rather than bit for bit.  The KKT-lattice
+over actions; no outer sum is built.  The products go into a buffer that
+each call allocates once, sized to the largest tile it walks, and the
+maxima are taken in place, so a tile allocates little beyond what it
+yields.  The products round differently from sums taken term by term, by
+about 1e-16, so these scans agree with the definitional verifiers to
+1e-12 rather than bit for bit.  The KKT-lattice
 scan walks every axis and narrows each to runs before its digits are
 expanded, so the rows it walks are its hits.  A coordinate whose gradient
 holds no later coordinate passes one run (digit 0, the interior and digit
@@ -195,20 +198,32 @@ def _prefix_rows(width, tile, runs):
     yield from walk(np.empty((1, 0), dtype=np.int64))
 
 
-def _max_product(L, R):
-    """The maximum over actions a of ``L[:, a].T @ R``, as a fresh (T, B) array.
+def _max_product(L, R, work, out=None):
+    """The maximum over actions a of ``L[:, a].T @ R``, as a (T, B) array.
 
     ``L`` is (K, m, T), action a's T rows of width K stored column-major so
     that they are built along T; ``R`` is (K, B).  One matmul covers all
-    m * T rows (BLAS reads the F-ordered view without a copy), then a
-    running maximum takes m slabs; that is faster than ``.max(axis=0)``.
+    m * T rows (BLAS reads the F-ordered view without a copy) and writes
+    them into ``work``, a flat buffer of at least m * T * B entries that
+    belongs to the caller.  A running maximum, faster than
+    ``.max(axis=0)``, folds the m slabs into ``out``, or into the first
+    slab when ``out`` is None; the next call overwrites that slab.  No
+    array is allocated.
     """
     width, m, rows = L.shape
-    slabs = (L.reshape(width, m * rows).T @ R).reshape(m, rows, -1)
-    out = np.maximum(slabs[0], slabs[-1])
+    slabs = np.matmul(L.reshape(width, m * rows).T, R, out=_tile_view(work, m * rows, R.shape[1]))
+    slabs = slabs.reshape(m, rows, -1)
+    out = slabs[0] if out is None else out
+    np.maximum(slabs[0], slabs[-1], out=out)
     for slab in slabs[1:-1]:
         np.maximum(out, slab, out=out)
     return out
+
+
+def _tile_view(buf, rows, cols):
+    """The first rows * cols entries of the flat buffer ``buf`` as a (rows,
+    cols) C-ordered array: one buffer serves every tile of a scan."""
+    return buf[:rows * cols].reshape(rows, cols)
 
 
 def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
@@ -217,20 +232,24 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
     ``digits[:, i]`` indexes player i's simplex grid.  Chunks come in
     lexicographic order of the digit tuples, one per tile of prefix rows
     (``_prefix_rows``) and block of the last player's grid, at most
-    ``_CHUNK`` profiles each.  A chunk's ``digits`` is a fresh int64 array
-    in column-major order (each player's column is filled as one run) and
-    its ``max_regret`` is fresh too, so a caller may keep every chunk.
+    ``_CHUNK`` profiles each.  A chunk's ``digits`` is a fresh array in
+    column-major order (each player's column is filled as one run), of the
+    narrowest signed integer type that holds every grid index (int8 up to
+    128 points per grid), and its ``max_regret`` is fresh too, so a caller
+    may keep every chunk.
 
     Player i's payoffs at a point are ``v = pre + tail``: ``pre`` sums its
     columns from the prefix players, ``tail`` is its column from the last
     player (none for the last player itself).  ``v_a - x . v`` is the row
     ``[pre_a - x . pre, e_a - x]`` times ``[1; tail]``, so one
     ``_max_product`` per player gives its regret on the tile; the last
-    player's is the row ``[max_a pre_a, pre]`` times ``[1; -x_last]``.  A
-    prefix player without an edge to the last player has a regret constant
-    along the block, taken once per prefix row.  At a pure profile the
-    played action's row is exactly zero, so a pure Nash profile scans to
-    exactly 0.0.
+    player's is the row ``[max_a pre_a, pre]`` times ``[1; -x_last]``.
+    That product starts the chunk's ``max_regret`` and every other regret
+    raises it in place; the products share one buffer per call.  A prefix
+    player without an edge to the last player has a regret constant along
+    the block, taken once per prefix row.  At a pure profile the played
+    action's row is exactly zero, so a pure Nash profile scans to exactly
+    0.0.
     """
     k = _grid_k(grid)
     counts = game.strategy_counts
@@ -255,7 +274,13 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
         return pre
 
     block = min(sizes[last], _CHUNK)
-    for prefix in _prefix_rows(last, max(1, _CHUNK // block), lambda p: (0, sizes[p.shape[1]])):
+    tile = max(1, _CHUNK // block)
+    # The products' buffer: m tiles for the player in R with the most
+    # actions, sized to the largest tile the scan walks (no tile holds more
+    # than every prefix row).
+    work = np.empty(max((counts[i] for i in R), default=0) * min(tile, math.prod(sizes[:last])) * block)
+    index = np.min_scalar_type(-max(sizes))
+    for prefix in _prefix_rows(last, tile, lambda p: (0, sizes[p.shape[1]])):
         for lo in range(0, sizes[last], block):
             hi = min(lo + block, sizes[last])
             pre = payoff_rows(last, prefix)
@@ -270,9 +295,9 @@ def iter_profile_regrets(game: PolymatrixGame, grid, budget=None):
                 L = np.empty((1 + counts[i], counts[i], len(prefix)))
                 np.subtract(pre, achieved, out=L[0])
                 np.subtract(np.eye(counts[i])[:, :, None], x[:, None, :], out=L[1:])
-                np.maximum(max_regret, _max_product(L, R[i][:, lo:hi]), out=max_regret)
+                np.maximum(max_regret, _max_product(L, R[i][:, lo:hi], work), out=max_regret)
             np.maximum(max_regret, row_regret[:, None], out=max_regret)
-            digits = np.empty((last + 1, len(prefix), hi - lo), dtype=np.int64)
+            digits = np.empty((last + 1, len(prefix), hi - lo), dtype=index)
             digits[:last] = prefix.T[:, :, None]
             digits[last] = np.arange(lo, hi)
             yield digits.reshape(last + 1, -1).T, max_regret.ravel()
@@ -768,8 +793,12 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     the last player.  That is one ``_max_product`` per adversary: action
     k's row is ``[A_jk + base, coef, e_k]`` against ``[1; g; B_j]`` for
     the first adversary and ``[A_jk, e_k]`` against ``[1; B_j]`` for the
-    rest.  A team without adversaries faces one with a single action and
-    no payoffs; an empty team X raises ValueError.
+    rest.  The first adversary's maximum is taken into a value buffer and
+    each later one is added to it.  That buffer and the products' buffer
+    are allocated once per call, sized to the largest tile the scan walks
+    (a one-player team X walks a single row).  A team without adversaries
+    faces one with a single action and no payoffs; an empty team X raises
+    ValueError.
     """
     if not validate_two_team(game, structure).passed or not structure.independent_adversaries:
         raise ValueError("requires a validated game with independent adversaries")
@@ -802,7 +831,13 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
     best = np.inf
     rows = None
     block = min(sizes[last], _CHUNK)
-    for digits in _prefix_rows(last, max(1, _CHUNK // block), lambda p: (0, sizes[p.shape[1]])):
+    tile = max(1, _CHUNK // block)
+    # The value and the products' buffer (m tiles for the adversary with
+    # the most actions), sized to the largest tile the scan walks: no tile
+    # holds more than every prefix row.
+    size = min(tile, math.prod(sizes[:last])) * block
+    value_buf, work = np.empty(size), np.empty(max(ys.values()) * size)
+    for digits in _prefix_rows(last, tile, lambda p: (0, sizes[p.shape[1]])):
         # L[j] holds an identity block below its per-prefix rows; rebuilt
         # only when the number of prefix rows changes.
         if rows != len(digits):
@@ -827,6 +862,8 @@ def grid_minimax_value(game: PolymatrixGame, structure: TwoTeamStructure, grid, 
                 A += W[j][t].take(digits[:, t], axis=1)
         for lo in range(0, sizes[last], block):
             hi = min(lo + block, sizes[last])
-            value = functools.reduce(operator.iadd, (_max_product(L[j], R[j][:, lo:hi]) for j in ys))
+            value = _max_product(L[first], R[first][:, lo:hi], work, _tile_view(value_buf, rows, hi - lo))
+            for j in list(ys)[1:]:
+                value += _max_product(L[j], R[j][:, lo:hi], work)
             best = min(best, float(value.min()))
     return best

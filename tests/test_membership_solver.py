@@ -170,7 +170,7 @@ def test_extract_multipliers_no_edges_returns_vertex():
     res = find_kkt_point(prog, seed=0)
     assert res.residual <= 1e-10
     cert = extract_multipliers(prog, res.x)
-    # All conditions degenerate; the feasibility solver lands on a vertex.
+    # All conditions degenerate; the least-residual LP lands on a vertex.
     assert cert.mu[0].sum() == pytest.approx(1.0, abs=1e-9)
     assert cert.mu[0].max() == pytest.approx(1.0, abs=1e-9)
 
@@ -434,7 +434,7 @@ def test_degenerate_games_solve_exactly():
         basis_profile = reconstruct_nash(prog, res.x, res.certificate)
         assert all(np.array_equal(a, b) for a, b in zip(profile.strategies,
                                                         basis_profile.strategies)), trial
-        # The feasibility LP shares no pivoting code with the Lemke search.
+        # The least-residual LP shares no pivoting code with the Lemke search.
         cert = extract_multipliers(prog, res.x, band=min(1e-7, 10.0 * res.residual + 1e-12))
         assert certificate_violation(prog, res.x, res.gamma, cert) <= 1e-7, trial
 

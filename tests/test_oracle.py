@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,10 +295,55 @@ def test_scan_regret_chunks_survive_later_yields(monkeypatch):
     for chunk in (oracle._CHUNK, 7):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         chunks = list(iter_profile_regrets(g, k))
-        assert all(d.dtype == np.int64 for d, _ in chunks)
+        assert all(d.dtype == np.int8 for d, _ in chunks)
         assert np.array_equal(np.concatenate([d for d, _ in chunks]), np.array(want_digits))
         regrets = np.concatenate([r for _, r in chunks])
         assert np.abs(regrets - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k, dtype", [(127, np.int8), (128, np.int16)])
+def test_scan_regret_digits_at_the_int8_boundary(k, dtype):
+    # A two-action player's grid has k + 1 points: at grid 127 the top index
+    # is 127, int8's largest value, and at grid 128 the index 128 needs
+    # int16.  The digits must count every profile without wrapping round.
+    g = regret_game([2, 2], [(0, 1)], np.random.default_rng(k))
+    grid = simplex_grid(2, k)
+    want_digits = np.array(list(itertools.product(range(k + 1), repeat=2)), dtype=np.int64)
+    chunks = list(iter_profile_regrets(g, k))
+    assert all(d.dtype == dtype and d.flags.f_contiguous for d, _ in chunks)
+    assert np.array_equal(np.concatenate([d for d, _ in chunks]).astype(np.int64), want_digits)
+    want = [verify_epsilon_nash(g, StrategyProfile([grid[a], grid[b]]), 0.0).max_regret
+            for a, b in want_digits.tolist()]
+    assert np.abs(np.concatenate([r for _, r in chunks]) - want).max() <= 1e-12
+
+
+def traced_peak(scan):
+    """The tracemalloc peak of ``scan()`` in bytes, after one untraced call."""
+    scan()
+    tracemalloc.start()
+    try:
+        scan()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("counts, edges, k", [
+    # The benchmark's regret shapes: three three-action players at grid 8,
+    # and a stage-2 game's four two-action players at grid 24.
+    ([3, 3, 3], [(0, 1), (0, 2), (1, 2)], 8),
+    ([2, 2, 2, 2], [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], 24),
+])
+def test_scan_regret_memory_is_a_few_tiles(counts, edges, k):
+    # The consumer keeps no chunk, so the peak is the scan's own.  A tile of
+    # regrets is 8 * _CHUNK bytes.  The products take one buffer of m <= 3
+    # tiles per call; the chunk being built and the one before it hold a
+    # tile of regrets each and under half a tile of narrow digits.  That is
+    # under 6 tiles, and 7 leave room for the per-row arrays; a scan that
+    # allocates each product afresh, with int64 digits, holds more than 8.
+    g = regret_game(counts, edges, np.random.default_rng(0))
+    peak = traced_peak(lambda: collections.deque(iter_profile_regrets(g, k), maxlen=0))
+    assert peak < 7 * 8 * oracle._CHUNK
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
@@ -964,6 +1011,15 @@ def test_grid_minimax_value_matches_profile_brute_force(case, monkeypatch):
     for chunk in (4, 25):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         assert grid_minimax_value(g, s, k) == pytest.approx(got, abs=1e-12)
+
+
+def test_grid_minimax_value_buffers_fit_the_rows_walked():
+    # One team-X player, so the scan walks a single row against blocks of
+    # its 5151-point grid.  Its buffers, the value and the products of the
+    # adversary with the most actions, take 1 + 3 rows of the block; sized
+    # to _CHUNK instead, they alone would hold 4 tiles.
+    g, s = team_game(np.random.default_rng(0), [3], [3, 3], [], [(0, 0), (0, 1)])
+    assert traced_peak(lambda: grid_minimax_value(g, s, 100)) < 4 * 8 * oracle._CHUNK
 
 
 def test_grid_minimax_budget_guard():
